@@ -3,7 +3,8 @@
 Every certificate and table is a subcommand with ``--json`` and plain
 text output carrying identical numeric content.  Exit codes: 0 for
 established or consistent results, 1 for excluded verdicts (so shell
-pipelines can branch on obstructions), 2 for usage and input errors.
+pipelines can branch on obstructions), 2 for usage and input errors, 3
+for an unexpected internal error (reported by :func:`main`).
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ _SERIES = {
 
 
 def _cmd_genus(args) -> Tuple[Dict, Optional[str]]:
+    if args.degree < 1:
+        raise UsageError("genus: --degree must be >= 1")
     series = _SERIES[args.series](args.degree)
     polys = genus.genus_polynomials(series, args.degree)
     doc = {
@@ -273,7 +276,8 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="spincert",
         description="Exact certificates for spin^k and pin structures. "
-        "Exit codes: 0 established/consistent, 1 excluded, 2 usage error.",
+        "Exit codes: 0 established/consistent, 1 excluded, 2 usage error, "
+        "3 internal error.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -368,7 +372,13 @@ def run(argv) -> Tuple[int, str]:
 
 
 def main() -> None:
-    code, document = run(sys.argv[1:])
+    try:
+        code, document = run(sys.argv[1:])
+    except Exception as err:
+        # exit 1 means "excluded", so a crash must not end with it
+        message = " ".join(f"{type(err).__name__}: {err}".split())
+        print(f"spincert: internal error: {message}", file=sys.stderr)
+        sys.exit(3)
     if document:
         print(document)
     sys.exit(code)

@@ -2,9 +2,8 @@
 
 Everything here works over arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere in the
-package.  ``ExactRational`` is an alias for ``Fraction``, which already
-maintains the canonical form we need (lowest terms, positive
-denominator).
+package.  ``Fraction`` already maintains the canonical form needed
+(lowest terms, positive denominator).
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import List, Set, Tuple
 
-ExactRational = Fraction
-
 __all__ = [
-    "ExactRational",
     "INFINITE_VALUATION",
     "nu2",
     "nu2_or_infinite",

@@ -295,10 +295,6 @@ def trivial_series(max_degree: int) -> CharacteristicSeries:
     )
 
 
-# Aliases under the traditional names.
-l_series = signature_series
-
-
 # -- genus polynomials -------------------------------------------------
 
 
@@ -389,16 +385,30 @@ class SCoefficients:
     s_2m: Fraction
 
 
+def _sequence_triple(
+    series: CharacteristicSeries, m: int
+) -> Tuple[Fraction, Fraction, Fraction]:
+    """Coefficients of p_m, p_m^2 and p_{2m} in the multiplicative sequence.
+
+    Only these three coefficients are read on an 8m-dimensional model, so
+    the sequence is evaluated in the truncated algebra spanned by 1, p_m,
+    p_m^2 and p_{2m}: every other p_i is set to zero and degrees above 8m
+    are dropped.  There the only nonzero power sums are
+    ps_m = (-1)^(m-1) m p_m and ps_2m = m p_m^2 - 2m p_{2m} (Newton's
+    identities), so with l = log Q the total class is
+    exp(l_m ps_m + l_2m ps_2m) = 1 + g + g^2/2 (Hirzebruch, Topological
+    Methods in Algebraic Geometry, section 1).
+    """
+    logs = _series_log(list(series.coefficients), 2 * m)
+    c_m = (-1) ** (m - 1) * m * logs[m]
+    return c_m, m * logs[2 * m] + c_m * c_m / 2, -2 * m * logs[2 * m]
+
+
 @lru_cache(maxsize=None)
 def l_coefficients(m: int) -> SCoefficients:
     if m < 1:
         raise ValueError("m must be >= 1")
-    polys = genus_polynomials(signature_series(2 * m), 2 * m)
-    return SCoefficients(
-        s_m=polys[m - 1].coefficient({f"p{m}": 1}),
-        s_mm=polys[2 * m - 1].coefficient({f"p{m}": 2}),
-        s_2m=polys[2 * m - 1].coefficient({f"p{2 * m}": 1}),
-    )
+    return SCoefficients(*_sequence_triple(signature_series(2 * m), m))
 
 
 def s2m_bernoulli(m: int) -> Fraction:
@@ -436,27 +446,42 @@ def twist_class_e1(max_degree: int) -> PontryaginPolynomial:
     return out
 
 
+def _truncated_mul(
+    a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]
+) -> Tuple[Fraction, ...]:
+    # product in the basis (1, p_m, p_m^2, p_2m), dropping degrees above 8m
+    return (
+        a[0] * b[0],
+        a[0] * b[1] + a[1] * b[0],
+        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+        a[0] * b[3] + a[3] * b[0],
+    )
+
+
 @lru_cache(maxsize=None)
 def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]:
     """Coefficients (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q.
 
     On an 8m-dimensional rationally highly connected model only the
     monomials p_m^2 and p_{2m} survive rationally; everything else is
-    torsion and integrates to zero.
+    torsion and integrates to zero.  The product is therefore taken in
+    the truncated algebra of :func:`_sequence_triple`, where
+    e1 = 2 ps_m / (2m)! + 2 ps_2m / (4m)!.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if twist_power not in (0, 1, 2):
         raise ValueError("only twists 1, e1, e1^2 are supported")
-    deg = 8 * m
-    integrand = genus_total(ahat_series(2 * m), 2 * m)
-    for _ in range(twist_power):
-        integrand = integrand.mul_truncated(twist_class_e1(deg), deg)
-    top = integrand.homogeneous_part(deg)
-    return (
-        top.coefficient({f"p{m}": 2}),
-        top.coefficient({f"p{2 * m}": 1}),
+    integrand = (Fraction(1), *_sequence_triple(ahat_series(2 * m), m))
+    e1 = (
+        Fraction(0),
+        Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m)),
+        Fraction(2 * m, factorial(4 * m)),
+        Fraction(-4 * m, factorial(4 * m)),
     )
+    for _ in range(twist_power):
+        integrand = _truncated_mul(integrand, e1)
+    return integrand[2], integrand[3]
 
 
 def ahat_rhc_coeffs(m: int) -> Tuple[Fraction, Fraction]:

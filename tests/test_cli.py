@@ -1,11 +1,15 @@
 import json
+import sys
+from fractions import Fraction
 from importlib import resources
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
 
-from spincert import mod2
+from spincert import cli, mod2
 from spincert.cli import load_model, run
+from spincert.exact import bernoulli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +77,25 @@ class TestExitCodes:
         assert run(["realize", "--m", "3"])[0] == 2  # not a power of two
         assert run(["mayer-check", "--m", "1", "--k", "3", "--p2", "4", "--q", "7"])[0] == 2
 
+    @pytest.mark.parametrize("series", ["L", "ahat", "mayer"])
+    def test_nonpositive_degree_is_two(self, series):
+        code, document = run(["genus", "--series", series, "--degree", "-1"])
+        assert code == 2
+        assert "degree must be >= 1" in document
+
+    def test_unexpected_exception_is_three(self, monkeypatch, capsys):
+        def crash(argv):
+            raise RuntimeError("broken\ninvariant")
+
+        monkeypatch.setattr(cli, "run", crash)
+        monkeypatch.setattr(sys, "argv", ["spincert", "s-coeffs", "--m", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "spincert: internal error: RuntimeError: broken invariant\n"
+
     def test_usage_message_names_problem(self):
         code, document = run(["non-spinh8"])
         assert code == 2
@@ -122,6 +145,40 @@ class TestDocuments:
     def test_help(self):
         code, document = run(["--help"])
         assert code == 0
+
+
+def _bernoulli_s_coeffs(m):
+    """(s_m, s_mm, s_2m) from Bernoulli numbers (unsigned, B_1 = 1/6)."""
+
+    def power_sum_coeff(n):
+        return Fraction(4**n * (2 ** (2 * n - 1) - 1), factorial(2 * n)) * bernoulli(n)
+
+    s_m, s_2m = power_sum_coeff(m), power_sum_coeff(2 * m)
+    return s_m, (s_m * s_m - s_2m) / 2, s_2m
+
+
+class TestLargeM:
+    def test_s_coeffs_m32(self):
+        code, document = run(["s-coeffs", "--m", "32", "--json"])
+        assert code == 0
+        doc = json.loads(document)
+        got = tuple(Fraction(doc[key]) for key in ("s_m", "s_mm", "s_2m"))
+        assert got == _bernoulli_s_coeffs(32)
+
+    def test_realize_conditions_m16(self):
+        s_m, s_mm, s_2m = _bernoulli_s_coeffs(16)
+        step = lcm(s_mm.denominator, s_2m.denominator)
+        P2, Q = 3 * step, -5 * step
+        code, document = run(
+            ["realize", "--m", "16", "--p2", str(P2), "--q", str(Q), "--json"]
+        )
+        assert code == 0
+        doc = json.loads(document)
+        sigma = s_mm * P2 + s_2m * Q
+        assert sigma.denominator == 1
+        assert doc["parameters"]["sigma"] == int(sigma)
+        assert Fraction(doc["parameters"]["s_m"]) == s_m
+        assert doc["checks"][0]["passed"]
 
 
 class TestModelLoading:

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincert import certify, genus
+from spincert.exact import alpha, bernoulli, nu2
 from spincert.genus import PontryaginPolynomial as PP
 
 
@@ -92,6 +95,35 @@ def _oracle_genus(series, n, n_roots):
         degree = sum(i * mult for i, mult in key)
         parts[degree][key] = coeff
     return parts
+
+
+# -- slow oracles for the closed-form coefficients -------------------------
+#
+# The library reads the p_m, p_m^2 and p_{2m} coefficients from a closed
+# form in a four-dimensional truncated algebra.  These oracles expand the
+# whole degree-2m genus polynomials instead and read the same coefficients.
+
+
+def _l_coefficients_by_expansion(m):
+    polys = genus.genus_polynomials(genus.signature_series(2 * m), 2 * m)
+    return genus.SCoefficients(
+        s_m=polys[m - 1].coefficient({f"p{m}": 1}),
+        s_mm=polys[2 * m - 1].coefficient({f"p{m}": 2}),
+        s_2m=polys[2 * m - 1].coefficient({f"p{2 * m}": 1}),
+    )
+
+
+@lru_cache(maxsize=None)  # the Hypothesis test below calls it per example
+def _twist_coeffs_by_expansion(m, twist_power):
+    deg = 8 * m
+    integrand = genus.genus_total(genus.ahat_series(2 * m), 2 * m)
+    for _ in range(twist_power):
+        integrand = integrand.mul_truncated(genus.twist_class_e1(deg), deg)
+    top = integrand.homogeneous_part(deg)
+    return (
+        top.coefficient({f"p{m}": 2}),
+        top.coefficient({f"p{2 * m}": 1}),
+    )
 
 
 # -- frozen golden polynomials (confirmed by the oracle below) --------------
@@ -204,9 +236,19 @@ class TestSCoefficients:
             P2, Q = rng.randint(-999, 999), rng.randint(-999, 999)
             assert (coeffs.s_mm * P2 + coeffs.s_2m * Q == 1) == (7 * Q - P2 == 45)
 
-    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("m", range(1, 33))
     def test_engine_matches_bernoulli_formula(self, m):
-        assert genus.l_coefficients(m).s_2m == genus.s2m_bernoulli(m)
+        coeffs = genus.l_coefficients(m)
+        assert coeffs.s_2m == genus.s2m_bernoulli(m)
+        assert coeffs.s_m == Fraction(
+            4**m * (2 ** (2 * m - 1) - 1), factorial(2 * m)
+        ) * bernoulli(m)
+        # odd exactly when m is a power of two
+        assert nu2(coeffs.s_2m) == alpha(m) - 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_closed_form_matches_expansion(self, m):
+        assert genus.l_coefficients(m) == _l_coefficients_by_expansion(m)
 
     def test_s2m_values(self):
         assert genus.s2m_bernoulli(1) == Fraction(7, 45)
@@ -238,6 +280,28 @@ class TestRHCIntegrals:
     def test_twist_power_validation(self):
         with pytest.raises(ValueError):
             genus.rhc_ahat_twist_coeffs(1, 3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    def test_closed_form_matches_expansion(self, m, power):
+        assert genus.rhc_ahat_twist_coeffs(m, power) == _twist_coeffs_by_expansion(
+            m, power
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        data=st.data(),
+        P2=st.integers(-(10**40), 10**40),
+        Q=st.integers(-(10**40), 10**40),
+    )
+    def test_mayer_values_match_expansion(self, m, data, P2, Q):
+        k = data.draw(st.integers(1, 2 * m - 1), label="k")
+        model = certify.RHCModel(m=m, middle_betti=0, sigma=0, P2=P2, Q=Q)
+        values = genus.mayer_integrality_check(model, k).parameters
+        for tag, power in (("ahat", 0), ("e1^2*ahat", 2)):
+            a, b = _twist_coeffs_by_expansion(m, power)
+            assert values[f"integral({tag})"] == a * P2 + b * Q
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("power", [0, 1, 2])
