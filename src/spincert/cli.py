@@ -4,13 +4,15 @@ Every certificate and table is a subcommand with ``--json`` and plain
 text output carrying identical numeric content.  Exit codes: 0 for
 established or consistent results, 1 for excluded verdicts (so shell
 pipelines can branch on obstructions), 2 for usage and input errors, 3
-for an unexpected internal error (reported by :func:`main`).
+for an unexpected internal error and 141 when stdout is closed before the
+document is written (both reported by :func:`main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -128,6 +130,9 @@ def render_text(doc: Dict) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
+# the engine takes about 1 s at degree 24, and the time doubles every two degrees
+GENUS_MAX_DEGREE = 24
+
 _SERIES = {
     "L": genus.signature_series,
     "ahat": genus.ahat_series,
@@ -138,6 +143,8 @@ _SERIES = {
 def _cmd_genus(args) -> Tuple[Dict, Optional[str]]:
     if args.degree < 1:
         raise UsageError("genus: --degree must be >= 1")
+    if args.degree > GENUS_MAX_DEGREE:
+        raise UsageError(f"genus: --degree must be <= {GENUS_MAX_DEGREE}")
     series = _SERIES[args.series](args.degree)
     polys = genus.genus_polynomials(series, args.degree)
     doc = {
@@ -374,13 +381,19 @@ def run(argv) -> Tuple[int, str]:
 def main() -> None:
     try:
         code, document = run(sys.argv[1:])
+        if document:
+            print(document)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`spincert pin-table | head -1`): end as a writer
+        # killed by SIGPIPE would, and let the exit-time flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
     except Exception as err:
         # exit 1 means "excluded", so a crash must not end with it
         message = " ".join(f"{type(err).__name__}: {err}".split())
         print(f"spincert: internal error: {message}", file=sys.stderr)
         sys.exit(3)
-    if document:
-        print(document)
     sys.exit(code)
 
 

@@ -93,14 +93,19 @@ def is_dyadic(r: int | Fraction) -> bool:
     return odd_part(r.denominator) == 1
 
 
+# modern-convention B_0, B_2, B_4, ... (signed), extended on demand
+_EVEN_BERNOULLI: List[Fraction] = [Fraction(1)]
+
+
 def _bernoulli_even_modern(m: int) -> List[Fraction]:
     """Modern-convention B_0, B_2, ..., B_{2m} (signed), by the binomial
     recurrence sum_{r=0}^{n} C(n+1, r) B_r = 0 with B_0 = 1 and
     B_1 = -1/2; odd-index values above 1 vanish, so only even indices
-    are carried.
+    are carried.  The returned list is the shared table, possibly longer
+    than asked for; callers read it and never change it.
     """
-    evens: List[Fraction] = [Fraction(1)]
-    for j in range(1, m + 1):
+    evens = _EVEN_BERNOULLI
+    for j in range(len(evens), m + 1):
         n = 2 * j
         s = sum(Fraction(comb(n + 1, 2 * i)) * evens[i] for i in range(j))
         s += Fraction(n + 1) * Fraction(-1, 2)  # the B_1 term

@@ -8,12 +8,12 @@ variable z always stands for the *square* of a formal Chern-style root,
 so every series here has integral powers of z and no fractional powers
 ever appear; z has weight 4 and p_i = e_i(z_1, z_2, ...) has weight 4i.
 
-The engine computes K_j by the log/power-sum route: take log Q
-termwise, sum over roots (turning z^k into the k-th power sum), convert
-power sums to elementary symmetric polynomials with Newton's
-identities, and exponentiate.  The naive many-root expansion is kept
-out of the library on purpose: it serves as the independent test
-oracle.
+The engine computes K_j by the log/power-sum route: log Q summed over
+the roots is g = sum_k l_k ps_k, with the power sums ps_k written in the
+p_i by Newton's identities, and the total class exp(g) follows from the
+recurrence j K_j = sum_k k l_k ps_k K_(j-k).  The naive many-root
+expansion is kept out of the library on purpose: it serves as the
+independent test oracle.
 
 Built-in series:
 
@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 from typing import Dict, List, Mapping, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
@@ -96,10 +97,6 @@ class PontryaginPolynomial:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero() -> "PontryaginPolynomial":
-        return PontryaginPolynomial()
-
-    @staticmethod
     def one() -> "PontryaginPolynomial":
         return PontryaginPolynomial({(): Fraction(1)})
 
@@ -147,11 +144,6 @@ class PontryaginPolynomial:
                 m = _mono_mul(ma, mb)
                 terms[m] = terms.get(m, Fraction(0)) + ca * cb
         return PontryaginPolynomial(terms)
-
-    def truncate(self, max_degree: int) -> "PontryaginPolynomial":
-        return PontryaginPolynomial(
-            {m: c for m, c in self.terms.items() if _mono_degree(m) <= max_degree}
-        )
 
     def homogeneous_part(self, degree: int) -> "PontryaginPolynomial":
         return PontryaginPolynomial(
@@ -296,46 +288,58 @@ def trivial_series(max_degree: int) -> CharacteristicSeries:
 
 
 # -- genus polynomials -------------------------------------------------
+# The engine writes p_1^e_1 ... p_n^e_n as the exponent vector (e_1, .., e_n)
+# and a homogeneous polynomial as a bucket, a dict from exponent vectors to
+# integer coefficients; class names enter only in _named.
+
+Bucket = Dict[Tuple[int, ...], int]
+
+
+def _named(mono: Tuple[int, ...]) -> Monomial:
+    return tuple(sorted((f"p{i}", e) for i, e in enumerate(mono, 1) if e))
 
 
 @lru_cache(maxsize=None)
-def _power_sums(n: int) -> Tuple[PontryaginPolynomial, ...]:
-    # Newton's identities: s_k = sum_{i<k} (-1)^{i-1} p_i s_{k-i} + (-1)^{k-1} k p_k
-    sums: List[PontryaginPolynomial] = []
+def _power_sums(n: int) -> Tuple[Bucket, ...]:
+    # Newton: ps_k = sum_{i<k} (-1)^(i-1) p_i ps_(k-i) + (-1)^(k-1) k p_k
+    sums: List[Bucket] = []
     for k in range(1, n + 1):
-        acc = PontryaginPolynomial.monomial({f"p{k}": 1}, Fraction((-1) ** (k - 1) * k))
+        acc = {tuple(int(i == k) for i in range(1, n + 1)): (-1) ** (k - 1) * k}
         for i in range(1, k):
-            term = PontryaginPolynomial.variable(f"p{i}") * sums[k - i - 1]
-            acc = acc + term.scale(Fraction((-1) ** (i - 1)))
+            for mono, c in sums[k - i - 1].items():
+                key = mono[: i - 1] + (mono[i - 1] + 1,) + mono[i:]
+                acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * c
         sums.append(acc)
     return tuple(sums)
-
-
-def _exp_graded(g: PontryaginPolynomial, max_degree: int) -> PontryaginPolynomial:
-    # exp of a polynomial with no constant term, truncated by degree
-    result = PontryaginPolynomial.one()
-    term = PontryaginPolynomial.one()
-    j = 0
-    while True:
-        j += 1
-        term = term.mul_truncated(g, max_degree).scale(Fraction(1, j))
-        if term.is_zero():
-            return result
-        result = result + term
 
 
 @lru_cache(maxsize=None)
 def _genus_polynomials_cached(
     series: CharacteristicSeries, n: int
 ) -> Tuple[PontryaginPolynomial, ...]:
+    # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
+    # dK = dg K reads j K_j = sum_{k<=j} k l_k ps_k K_(j-k).  K_j is kept as
+    # an integer bucket nums[j] over the denominator dens[j], in lowest terms.
     logs = _series_log(list(series.coefficients), n)
     sums = _power_sums(n)
-    g = PontryaginPolynomial.zero()
-    for k in range(1, n + 1):
-        if logs[k]:
-            g = g + sums[k - 1].scale(logs[k])
-    total = _exp_graded(g, 4 * n)
-    return tuple(total.homogeneous_part(4 * j) for j in range(1, n + 1))
+    nums, dens = [{(0,) * n: 1}], [1]
+    for j in range(1, n + 1):
+        weights = [k * logs[k] / (j * dens[j - k]) for k in range(1, j + 1)]
+        den = lcm(*(w.denominator for w in weights))
+        acc: Bucket = {}
+        for k, w in enumerate(weights, 1):
+            for ma, ca in sums[k - 1].items():
+                c = ca * w.numerator * (den // w.denominator)
+                for mb, cb in nums[j - k].items():
+                    key = tuple(map(add, ma, mb))
+                    acc[key] = acc.get(key, 0) + c * cb
+        g = gcd(den, *acc.values())
+        nums.append({mono: c // g for mono, c in acc.items()})
+        dens.append(den // g)
+    return tuple(
+        PontryaginPolynomial({_named(m): Fraction(c, d) for m, c in bucket.items()})
+        for bucket, d in zip(nums[1:], dens[1:])
+    )
 
 
 def genus_polynomials(
@@ -353,10 +357,7 @@ def genus_polynomials(
 
 def genus_total(series: CharacteristicSeries, n: int) -> PontryaginPolynomial:
     """1 + K_1 + ... + K_n."""
-    total = PontryaginPolynomial.one()
-    for poly in genus_polynomials(series, n):
-        total = total + poly
-    return total
+    return sum(genus_polynomials(series, n), PontryaginPolynomial.one())
 
 
 def series_applied_to(
@@ -370,7 +371,7 @@ def series_applied_to(
         if power.is_zero():
             break
         result = result + power.scale(series.coefficient(k))
-    return result.truncate(max_degree)
+    return result
 
 
 # -- signature-sequence coefficients -----------------------------------
@@ -436,14 +437,10 @@ def twist_class_e1(max_degree: int) -> PontryaginPolynomial:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    n = max_degree // 4
-    if n == 0:
-        return PontryaginPolynomial.zero()
-    sums = _power_sums(n)
-    out = PontryaginPolynomial.zero()
-    for r in range(1, n + 1):
-        out = out + sums[r - 1].scale(Fraction(2, factorial(2 * r)))
-    return out
+    terms = {}
+    for r, ps in enumerate(_power_sums(max_degree // 4), 1):
+        terms.update((_named(m), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items())
+    return PontryaginPolynomial(terms)
 
 
 def _truncated_mul(

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -40,6 +42,13 @@ class TestGoldenFiles:
             ("bound-m4-k7.json", ["bound", "--m", "4", "--k", "7", "--sigma", "1", "--json"], 1),
             ("pin-table.json", ["pin-table", "--max-dim", "7", "--json"], 0),
             ("realize-m1.json", ["realize", "--m", "1", "--json"], 0),
+            ("genus-L-12.txt", ["genus", "--series", "L", "--degree", "12"], 0),
+            (
+                "genus-ahat-12.json",
+                ["genus", "--series", "ahat", "--degree", "12", "--json"],
+                0,
+            ),
+            ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
         ],
     )
     def test_byte_for_byte(self, name, argv, code):
@@ -83,6 +92,15 @@ class TestExitCodes:
         assert code == 2
         assert "degree must be >= 1" in document
 
+    def test_degree_budget_is_two(self, monkeypatch):
+        def build(degree):
+            raise AssertionError("a series was built past the budget")
+
+        monkeypatch.setitem(cli._SERIES, "L", build)
+        code, document = run(["genus", "--series", "L", "--degree", "25"])
+        assert code == 2
+        assert document == "genus: --degree must be <= 24"
+
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         def crash(argv):
             raise RuntimeError("broken\ninvariant")
@@ -95,6 +113,23 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "spincert: internal error: RuntimeError: broken invariant\n"
+
+    def test_closed_stdout_is_141(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody is left to read when the child writes
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from spincert.cli import main; main()", "pin-table"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
     def test_usage_message_names_problem(self):
         code, document = run(["non-spinh8"])

@@ -81,8 +81,8 @@ class TestBernoulli:
         assert exact.bernoulli(4) == Fraction(1, 30)
 
     def test_against_akiyama_tanigawa(self):
-        oracle = _bernoulli_akiyama_tanigawa(32)
-        for j in range(1, 17):
+        oracle = _bernoulli_akiyama_tanigawa(64)
+        for j in range(32, 0, -1):  # reads the table before and after it grows
             assert exact.bernoulli(j) == abs(oracle[2 * j])
 
     def test_von_staudt_clausen_valuation(self):
@@ -99,6 +99,18 @@ class TestBernoulli:
             assert exact.nu2(value) == -1
         with pytest.raises(ValueError):
             exact.bernoulli_table(0)
+
+    def test_table_is_a_fresh_dict(self):
+        table = exact.bernoulli_table(4)
+        table[1] = Fraction(0)
+        del table[2]
+        assert exact.bernoulli(1) == Fraction(1, 6)
+        assert exact.bernoulli_table(4) == {
+            1: Fraction(1, 6),
+            2: Fraction(1, 30),
+            3: Fraction(1, 42),
+            4: Fraction(1, 30),
+        }
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

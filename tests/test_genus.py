@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,12 +178,28 @@ class TestGenusPolynomials:
 
     @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
     def test_against_root_expansion_oracle(self, maker):
-        n = 4
+        n = 6
         series = maker(n)
         engine = genus.genus_polynomials(series, n)
         oracle = _oracle_genus(series, n, n_roots=n)
         for j in range(1, n + 1):
             assert _engine_to_partitions(engine[j - 1]) == oracle[j]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_signature_of_complex_projective_space(self, k):
+        # p(CP^{2k}) = (1 + x^2)^(2k+1) and x^{2k}[CP^{2k}] = 1, signature 1
+        poly = genus.genus_polynomials(genus.signature_series(16), 16)[k - 1]
+        assert poly.evaluate({f"p{i}": comb(2 * k + 1, i) for i in range(1, k + 1)}) == 1
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_ahat_of_quaternionic_projective_space(self, k):
+        # p(HP^k) = (1 + u)^(2k+2) / (1 + 4u) and u^k[HP^k] = 1; Ahat vanishes
+        poly = genus.genus_polynomials(genus.ahat_series(16), 16)[k - 1]
+        p = {
+            f"p{i}": sum(comb(2 * k + 2, r) * (-4) ** (i - r) for r in range(i + 1))
+            for i in range(1, k + 1)
+        }
+        assert poly.evaluate(p) == 0
 
     def test_oracle_stable_in_root_count(self):
         n = 4
