@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from . import certify, genus, mod2
-from .certificates import EXCLUDED, exact_to_json
+from .certificates import EXCLUDED, Certificate, Check, exact_to_json
 from .mod2 import ModelError
 
 
@@ -46,24 +46,10 @@ def load_model(path: str):
     if "basis" in doc:
         return mod2.space_model_from_dict(doc)
     if "P2" in doc:
-        return _rhc_model_from_dict(doc)
+        return mod2.rhc_model_from_dict(doc)
     raise ModelError(
         "unrecognized model document: expected 'basis' (space model) or 'P2' (rhc model)"
     )
-
-
-def _rhc_model_from_dict(doc: Dict) -> certify.RHCModel:
-    values = {}
-    for field in ("m", "middle_betti", "sigma", "P2", "Q"):
-        if field not in doc:
-            raise ModelError(f"field {field!r}: missing")
-        if not isinstance(doc[field], int) or isinstance(doc[field], bool):
-            raise ModelError(f"field {field!r}: expected an integer")
-        values[field] = doc[field]
-    try:
-        return certify.RHCModel(**values)
-    except ValueError as err:
-        raise ModelError(str(err)) from err
 
 
 # -- text rendering ------------------------------------------------------
@@ -243,40 +229,18 @@ def _cmd_mayer_check(args) -> Tuple[Dict, Optional[str]]:
 
 def _cmd_w4_lift(args) -> Tuple[Dict, Optional[str]]:
     variant = args.variant.replace("-", "_")
+    inputs = {"p1_M": args.p1_m, "p1_E": args.p1_e, "variant": variant, "euler_E": args.euler}
     try:
         lift = certify.w4_lift(args.p1_m, args.p1_e, variant, args.euler)
     except certify.InconsistentLiftError as err:
-        doc = {
-            "claim": "w4-lift-inconsistent",
-            "parameters": {
-                "p1_M": args.p1_m,
-                "p1_E": args.p1_e,
-                "variant": variant,
-                "euler_E": args.euler,
-            },
-            "checks": [
-                {
-                    "name": "parity of the p1 difference",
-                    "lhs": "odd",
-                    "rhs": "even",
-                    "relation": "!=",
-                    "passed": True,
-                }
-            ],
-            "verdict": EXCLUDED,
-            "witnesses": None,
-            "error": str(err),
-        }
-        return doc, EXCLUDED
-    doc = {
-        "p1_M": args.p1_m,
-        "p1_E": args.p1_e,
-        "variant": variant,
-        "euler_E": args.euler,
-        "lift": lift,
-        "lift_mod_2": lift % 2,
-    }
-    return doc, None
+        cert = Certificate(
+            claim="w4-lift-inconsistent",
+            parameters=inputs,
+            checks=[Check("parity of the p1 difference", "odd", "even", "!=", True)],
+            verdict=EXCLUDED,
+        )
+        return {**cert.to_dict(), "error": str(err)}, cert.verdict
+    return {**inputs, "lift": lift, "lift_mod_2": lift % 2}, None
 
 
 def build_parser() -> _Parser:

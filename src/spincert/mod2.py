@@ -16,6 +16,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, INCONCLUSIVE
+from .certify import RHCModel
 
 
 class AlgebraError(ValueError):
@@ -32,88 +33,85 @@ class ModelError(ValueError):
 class F2Algebra:
     """Graded-commutative unital algebra over F2 with a finite basis.
 
-    The multiplication table is validated exhaustively at construction:
-    commutativity, unit law, degree-additivity, and associativity on all
-    basis triples.  Violations raise :class:`AlgebraError` naming the
+    Elements are int bitmasks over the basis (bit i is ``names[i]``), and
+    ``mul[i][j]`` is the product of basis elements i and j.  The table is
+    validated exhaustively at construction: commutativity, unit law,
+    degree-additivity, and associativity on all basis triples those checks
+    leave open.  Violations raise :class:`AlgebraError` naming the
     offending pair or triple.
     """
 
     def __init__(
         self,
         basis: Sequence[Tuple[str, int]],
-        products: Mapping[Tuple[str, str], FrozenSet[str]],
+        mul: Sequence[Sequence[int]],
         unit: str,
     ):
+        self._index = _basis_index(basis, unit)
         self.names: Tuple[str, ...] = tuple(name for name, _ in basis)
-        self.degrees: Dict[str, int] = {}
-        for name, degree in basis:
-            if name in self.degrees:
-                raise AlgebraError(f"duplicate basis element {name!r}")
-            if degree < 0:
-                raise AlgebraError(f"negative degree for {name!r}")
-            self.degrees[name] = degree
-        if unit not in self.degrees:
-            raise AlgebraError(f"unit {unit!r} is not a basis element")
-        if self.degrees[unit] != 0:
-            raise AlgebraError(f"unit {unit!r} must have degree 0")
+        self.degrees: Tuple[int, ...] = tuple(degree for _, degree in basis)
         self.unit = unit
-        self.table: Dict[Tuple[str, str], FrozenSet[str]] = dict(products)
+        self.mul = mul
         self._validate()
 
     def _validate(self) -> None:
-        for (left, right), result in self.table.items():
-            for name in (left, right, *result):
-                if name not in self.degrees:
-                    raise AlgebraError(f"product table mentions unknown element {name!r}")
-        # symmetric completion; explicit conflicting entries are a commutativity error
-        for (left, right), result in list(self.table.items()):
-            mirror = self.table.get((right, left))
-            if mirror is None:
-                self.table[(right, left)] = result
-            elif mirror != result:
-                raise AlgebraError(
-                    f"product table is not commutative on the pair ({left}, {right})"
-                )
-        for name in self.names:
-            for pair in ((self.unit, name), (name, self.unit)):
-                expected = frozenset([name])
-                if self.table.setdefault(pair, expected) != expected:
-                    raise AlgebraError(f"unit law fails on {name!r}")
-        for left in self.names:
-            for right in self.names:
-                result = self.table.setdefault((left, right), frozenset())
-                target = self.degrees[left] + self.degrees[right]
-                for name in result:
-                    if self.degrees[name] != target:
+        names, degrees, mul = self.names, self.degrees, self.mul
+        n = len(names)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if mul[i][j] != mul[j][i]:
+                    raise AlgebraError(
+                        f"product table is not commutative on the pair "
+                        f"({names[i]}, {names[j]})"
+                    )
+        u = self._index[self.unit]
+        for i in range(n):
+            if mul[u][i] != 1 << i or mul[i][u] != 1 << i:
+                raise AlgebraError(f"unit law fails on {names[i]!r}")
+        for i in range(n):
+            for j in range(n):
+                target = degrees[i] + degrees[j]
+                for k in _bits(mul[i][j]):
+                    if degrees[k] != target:
                         raise AlgebraError(
-                            f"product ({left}, {right}) is not degree-additive: "
-                            f"{name!r} has degree {self.degrees[name]}, expected {target}"
+                            f"product ({names[i]}, {names[j]}) is not degree-additive: "
+                            f"{names[k]!r} has degree {degrees[k]}, expected {target}"
                         )
-        for a in self.names:
-            for b in self.names:
-                for c in self.names:
-                    left = self._mul_sets(self.table[(a, b)], frozenset([c]))
-                    right = self._mul_sets(frozenset([a]), self.table[(b, c)])
-                    if left != right:
+        # the unit law settles triples containing the unit, and degree-additivity
+        # makes both sides zero when the degrees add up to more than the top degree
+        top = self.top_degree
+        others = [i for i in range(n) if i != u]
+        for a in others:
+            for b in others:
+                room = top - degrees[a] - degrees[b]
+                if room < 0:
+                    continue
+                for c in others:
+                    if degrees[c] > room:
+                        continue
+                    if self.product(mul[a][b], 1 << c) != self.product(1 << a, mul[b][c]):
                         raise AlgebraError(
-                            f"product table is not associative on the triple ({a}, {b}, {c})"
+                            f"product table is not associative on the triple "
+                            f"({names[a]}, {names[b]}, {names[c]})"
                         )
 
-    def _mul_sets(self, xs: FrozenSet[str], ys: FrozenSet[str]) -> FrozenSet[str]:
-        acc: set = set()
-        for x in xs:
-            for y in ys:
-                acc ^= self.table[(x, y)]
-        return frozenset(acc)
+    def product(self, x: int, y: int) -> int:
+        """Product of two elements given as masks."""
+        acc = 0
+        for i in _bits(x):
+            for j in _bits(y):
+                acc ^= self.mul[i][j]
+        return acc
 
     # -- elements ------------------------------------------------------
 
     def element(self, names: Iterable[str] = ()) -> "F2Element":
-        names = frozenset(names)
+        mask = 0
         for name in names:
-            if name not in self.degrees:
+            if name not in self._index:
                 raise AlgebraError(f"unknown basis element {name!r}")
-        return F2Element(self, names)
+            mask |= 1 << self._index[name]
+        return F2Element(self, mask)
 
     def zero(self) -> "F2Element":
         return self.element()
@@ -122,14 +120,14 @@ class F2Algebra:
         return self.element([self.unit])
 
     def basis_of_degree(self, degree: int) -> List[str]:
-        return [n for n in self.names if self.degrees[n] == degree]
+        return [n for n, d in zip(self.names, self.degrees) if d == degree]
 
     def dim(self, degree: int) -> int:
         return len(self.basis_of_degree(degree))
 
     @property
     def top_degree(self) -> int:
-        return max(self.degrees.values())
+        return max(self.degrees)
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,17 +135,43 @@ class F2Algebra:
             and self.names == other.names
             and self.degrees == other.degrees
             and self.unit == other.unit
-            and self.table == other.table
+            and self.mul == other.mul
         )
 
     def __repr__(self) -> str:
-        return f"F2Algebra(basis={list(self.degrees.items())})"
+        return f"F2Algebra(basis={list(zip(self.names, self.degrees))})"
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _basis_index(basis: Sequence[Tuple[str, int]], unit: str) -> Dict[str, int]:
+    index: Dict[str, int] = {}
+    for name, degree in basis:
+        if name in index:
+            raise AlgebraError(f"duplicate basis element {name!r}")
+        if degree < 0:
+            raise AlgebraError(f"negative degree for {name!r}")
+        index[name] = len(index)
+    if unit not in index:
+        raise AlgebraError(f"unit {unit!r} is not a basis element")
+    if basis[index[unit]][1] != 0:
+        raise AlgebraError(f"unit {unit!r} must have degree 0")
+    return index
 
 
 @dataclass(frozen=True)
 class F2Element:
     algebra: F2Algebra
-    support: FrozenSet[str]
+    mask: int
+
+    @property
+    def support(self) -> FrozenSet[str]:
+        return frozenset(self.algebra.names[i] for i in _bits(self.mask))
 
     def _check_compatible(self, other: "F2Element") -> None:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -155,31 +179,20 @@ class F2Element:
 
     def __add__(self, other: "F2Element") -> "F2Element":
         self._check_compatible(other)
-        return F2Element(self.algebra, self.support ^ other.support)
+        return F2Element(self.algebra, self.mask ^ other.mask)
 
     def __mul__(self, other: "F2Element") -> "F2Element":
         self._check_compatible(other)
-        acc: set = set()
-        for x in self.support:
-            for y in other.support:
-                acc ^= self.algebra.table[(x, y)]
-        return F2Element(self.algebra, frozenset(acc))
+        return F2Element(self.algebra, self.algebra.product(self.mask, other.mask))
 
     def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Element)
-            and self.algebra == other.algebra
-            and self.support == other.support
-        )
+        return not self.mask
 
     def __hash__(self):
-        return hash(self.support)
+        return hash(self.mask)
 
     def __str__(self) -> str:
-        if not self.support:
+        if not self.mask:
             return "0"
         return " + ".join(sorted(self.support))
 
@@ -191,12 +204,28 @@ def build_algebra(
 ) -> F2Algebra:
     """Validated algebra from a basis and a (possibly partial) product table.
 
-    Pairs not listed default to zero; pairs involving the unit are
-    filled in by the unit law.  Any axiom violation raises
-    :class:`AlgebraError` naming the offending pair or triple.
+    A pair listed in one order gets the same product in the other, pairs
+    with the unit follow the unit law, and other unlisted pairs are zero.
+    Any axiom violation raises :class:`AlgebraError` naming the offending
+    pair or triple.
     """
-    table = {pair: frozenset(result) for pair, result in products.items()}
-    return F2Algebra(basis, table, unit)
+    index = _basis_index(basis, unit)
+    table = {}
+    for (left, right), result in products.items():
+        for name in (left, right, *result):
+            if name not in index:
+                raise AlgebraError(f"product table mentions unknown element {name!r}")
+        table[index[left], index[right]] = sum(1 << index[name] for name in set(result))
+    n, u = len(index), index[unit]
+    mul = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mul[u][i] = mul[i][u] = 1 << i
+    # mirrors first: a pair listed in both orders keeps both, and a conflict fails commutativity
+    for (i, j), mask in table.items():
+        mul[j][i] = mask
+    for (i, j), mask in table.items():
+        mul[i][j] = mask
+    return F2Algebra(basis, mul, unit)
 
 
 # -- total Stiefel-Whitney classes over a finite algebra -----------------
@@ -213,11 +242,11 @@ class SWTotal:
                 continue
             if degree < 1:
                 raise ModelError("positive-degree components only; w_0 is implicit")
-            for name in element.support:
-                if algebra.degrees[name] != degree:
+            for i in _bits(element.mask):
+                if algebra.degrees[i] != degree:
                     raise ModelError(
-                        f"sw component in degree {degree} contains {name!r} "
-                        f"of degree {algebra.degrees[name]}"
+                        f"sw component in degree {degree} contains {algebra.names[i]!r} "
+                        f"of degree {algebra.degrees[i]}"
                     )
             self.components[degree] = element
 
@@ -392,40 +421,37 @@ def sphere_model(n: int) -> SpaceModel:
 # -- Kunneth products -------------------------------------------------------
 
 
-def _pair_name(a: str, b: str) -> str:
-    return f"{a}⊗{b}"
+def _tensor(x: int, y: int, width: int) -> int:
+    """Mask of x ⊗ y, where the basis pair (i, j) has index i * width + j."""
+    acc = 0
+    for i in _bits(x):
+        acc |= y << (i * width)
+    return acc
 
 
 def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     """Product model: tensor algebra, product SW class, combined profile."""
+    left, right = a.algebra, b.algebra
+    width = len(right.names)
     basis = [
-        (_pair_name(x, y), a.algebra.degrees[x] + b.algebra.degrees[y])
-        for x in a.algebra.names
-        for y in b.algebra.names
+        (f"{x}⊗{y}", dx + dy)
+        for x, dx in zip(left.names, left.degrees)
+        for y, dy in zip(right.names, right.degrees)
     ]
-    products = {}
-    for x1 in a.algebra.names:
-        for y1 in b.algebra.names:
-            for x2 in a.algebra.names:
-                for y2 in b.algebra.names:
-                    result = frozenset(
-                        _pair_name(u, v)
-                        for u in a.algebra.table[(x1, x2)]
-                        for v in b.algebra.table[(y1, y2)]
-                    )
-                    products[(_pair_name(x1, y1), _pair_name(x2, y2))] = result
-    algebra = F2Algebra(basis, products, _pair_name(a.algebra.unit, b.algebra.unit))
+    mul = [
+        [_tensor(u, v, width) for u in row_a for v in row_b]
+        for row_a in left.mul
+        for row_b in right.mul
+    ]
+    algebra = F2Algebra(basis, mul, f"{left.unit}⊗{right.unit}")
 
     dimension = a.dimension + b.dimension
     sw_components: Dict[int, F2Element] = {}
     for degree in range(1, dimension + 1):
-        names: set = set()
+        mask = 0
         for i in range(degree + 1):
-            left = a.tangent_sw.component(i)
-            right = b.tangent_sw.component(degree - i)
-            names ^= {_pair_name(u, v) for u in left.support for v in right.support}
-        if names:
-            sw_components[degree] = algebra.element(names)
+            mask ^= _tensor(a.w(i).mask, b.w(degree - i).mask, width)
+        sw_components[degree] = F2Element(algebra, mask)
 
     profile: Dict[int, Tuple[int, List[int]]] = {}
     for degree in range(dimension + 1):
@@ -486,7 +512,7 @@ def w5_verdict(model: SpaceModel) -> Certificate:
         "model": model.name,
         "dimension": model.dimension,
         "k": 3,
-        "orientable": True,
+        "orientable": model.w(1).is_zero(),
         "w4": str(w4),
         "H4_integral": model.int_profile.group_text(4),
     }
@@ -708,11 +734,12 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 def space_model_to_dict(model: SpaceModel) -> Dict:
     algebra = model.algebra
-    non_unit = [n for n in algebra.names if n != algebra.unit]
+    non_unit = [i for i, name in enumerate(algebra.names) if name != algebra.unit]
     products = []
-    for i, left in enumerate(non_unit):
-        for right in non_unit[i:]:
-            products.append([left, right, sorted(algebra.table[(left, right)])])
+    for k, i in enumerate(non_unit):
+        for j in non_unit[k:]:
+            result = F2Element(algebra, algebra.mul[i][j]).support
+            products.append([algebra.names[i], algebra.names[j], sorted(result)])
     sw = {
         str(d): sorted(model.tangent_sw.components[d].support)
         for d in sorted(model.tangent_sw.components)
@@ -724,7 +751,7 @@ def space_model_to_dict(model: SpaceModel) -> Dict:
     return {
         "name": model.name,
         "dimension": model.dimension,
-        "basis": [[n, algebra.degrees[n]] for n in algebra.names],
+        "basis": [[n, d] for n, d in zip(algebra.names, algebra.degrees)],
         "unit": algebra.unit,
         "products": products,
         "sw": sw,
@@ -736,13 +763,33 @@ def space_model_to_json(model: SpaceModel) -> str:
     return json.dumps(space_model_to_dict(model), indent=2, ensure_ascii=True) + "\n"
 
 
+def _is(value, kind) -> bool:
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _is_row(entry, *kinds) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == len(kinds)
+        and all(_is(value, kind) for value, kind in zip(entry, kinds))
+    )
+
+
 def _require(doc: Mapping, field: str, kind) -> object:
     if field not in doc:
         raise ModelError(f"field {field!r}: missing")
     value = doc[field]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ModelError(f"field {field!r}: expected {kind.__name__}")
     return value
+
+
+def _degree_key(field: str, key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ModelError(f"field {field!r}: non-integer degree key {key!r}") from None
 
 
 def space_model_from_dict(doc: Mapping) -> SpaceModel:
@@ -751,24 +798,13 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     raw_basis = _require(doc, "basis", list)
     basis = []
     for i, entry in enumerate(raw_basis):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not isinstance(entry[0], str)
-            or not isinstance(entry[1], int)
-        ):
+        if not _is_row(entry, str, int):
             raise ModelError(f"field 'basis[{i}]': expected [name, degree]")
         basis.append((entry[0], entry[1]))
     unit = _require(doc, "unit", str)
     products = {}
     for i, entry in enumerate(_require(doc, "products", list)):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not isinstance(entry[0], str)
-            or not isinstance(entry[1], str)
-            or not isinstance(entry[2], list)
-        ):
+        if not _is_row(entry, str, str, list):
             raise ModelError(f"field 'products[{i}]': expected [left, right, [names]]")
         pair = (entry[0], entry[1])
         value = frozenset(entry[2])
@@ -782,10 +818,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
 
     sw_components = {}
     for key, names in _require(doc, "sw", dict).items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise ModelError(f"field 'sw': non-integer degree key {key!r}") from None
+        degree = _degree_key("sw", key)
         if not isinstance(names, list):
             raise ModelError(f"field 'sw[{key}]': expected a list of basis names")
         try:
@@ -795,26 +828,25 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
 
     profile_data = {}
     for key, entry in _require(doc, "int_profile", dict).items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise ModelError(
-                f"field 'int_profile': non-integer degree key {key!r}"
-            ) from None
+        degree = _degree_key("int_profile", key)
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("free"), int)
-            or not isinstance(entry.get("torsion"), list)
+            or not _is(entry.get("free"), int)
+            or not _is(entry.get("torsion"), list)
+            or not all(_is(t, int) for t in entry["torsion"])
         ):
             raise ModelError(
                 f"field 'int_profile[{key}]': expected {{'free': int, 'torsion': [...]}}"
             )
         profile_data[degree] = (entry["free"], entry["torsion"])
+    profile = IntProfile.from_mapping(profile_data)
+    return SpaceModel(name, algebra, SWTotal(algebra, sw_components), profile, dimension)
+
+
+def rhc_model_from_dict(doc: Mapping) -> RHCModel:
+    fields = ("m", "middle_betti", "sigma", "P2", "Q")
+    values = {field: _require(doc, field, int) for field in fields}
     try:
-        profile = IntProfile.from_mapping(profile_data)
-        sw = SWTotal(algebra, sw_components)
-        return SpaceModel(name, algebra, sw, profile, dimension)
-    except ModelError:
-        raise
-    except (AlgebraError, ValueError) as err:
+        return RHCModel(**values)
+    except ValueError as err:
         raise ModelError(str(err)) from err

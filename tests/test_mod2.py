@@ -1,9 +1,12 @@
 import json
+import re
 from importlib import resources
+from math import comb
 
 import pytest
 
-from spincert import mod2
+from spincert import certify, mod2
+from spincert.certificates import CertificateError
 from spincert.mod2 import (
     AlgebraError,
     IntProfile,
@@ -23,6 +26,37 @@ from spincert.mod2 import (
 )
 
 
+def projective_space(n, gen_degree):
+    """RP^n (gen_degree 1) or CP^n (gen_degree 2): F2[x]/(x^(n+1)), w = (1+x)^(n+1)."""
+    names = ["1"] + [f"x{gen_degree * i}" for i in range(1, n + 1)]
+    algebra = build_algebra(
+        [(name, gen_degree * i) for i, name in enumerate(names)],
+        {
+            (names[i], names[j]): [names[i + j]] if i + j <= n else []
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+        },
+    )
+    sw = {
+        gen_degree * i: algebra.element([names[i]])
+        for i in range(1, n + 1)
+        if comb(n + 1, i) % 2
+    }
+    if gen_degree == 2:
+        profile = {2 * i: (1, ()) for i in range(n + 1)}
+    else:
+        profile = {0: (1, ()), **{i: (0, (2,)) for i in range(2, n + 1, 2)}}
+        if n % 2:
+            profile[n] = (1, ())
+    return mod2.SpaceModel(
+        f"{'RP' if gen_degree == 1 else 'CP'}{n}",
+        algebra,
+        SWTotal(algebra, sw),
+        IntProfile.from_mapping(profile),
+        gen_degree * n,
+    )
+
+
 class TestBuildAlgebra:
     def test_ground_field(self):
         algebra = build_algebra([("1", 0)], {})
@@ -36,7 +70,8 @@ class TestBuildAlgebra:
 
     def test_commutativity_violation_names_pair(self):
         products = {("z2", "z3"): ["z5"], ("z3", "z2"): []}
-        with pytest.raises(AlgebraError, match=r"commutative.*\(z2, z3\)|\(z3, z2\)"):
+        message = "product table is not commutative on the pair (z2, z3)"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
             build_algebra([("1", 0), ("z2", 2), ("z3", 3), ("z5", 5)], products)
 
     def test_associativity_violation_names_triple(self):
@@ -54,11 +89,13 @@ class TestBuildAlgebra:
             ("c", "d"): [],
             ("d", "d"): [],
         }
-        with pytest.raises(AlgebraError, match=r"associative.*\("):
+        message = "product table is not associative on the triple (a, b, b)"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
             build_algebra(basis, products)
 
     def test_degree_violation(self):
-        with pytest.raises(AlgebraError, match="degree-additive"):
+        message = "product (x, x) is not degree-additive: 'y' has degree 3, expected 4"
+        with pytest.raises(AlgebraError, match=re.escape(message)):
             build_algebra([("1", 0), ("x", 2), ("y", 3)], {("x", "x"): ["y"]})
 
     def test_unit_must_have_degree_zero(self):
@@ -125,6 +162,34 @@ class TestKunneth:
         w4 = product.w(4)
         assert w4 == product.algebra.element(["z2⊗z2"])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (wu_manifold(), sphere_model(3)),
+            (projective_space(3, 1), projective_space(2, 2)),
+            (kunneth(wu_manifold(), sphere_model(3)), kunneth(wu_manifold(), sphere_model(3))),
+        ],
+        ids=["wu-x-s3", "rp3-x-cp2", "64-elements"],
+    )
+    def test_products_match_the_factors(self, a, b):
+        # (x1⊗y1)(x2⊗y2) = (x1 x2)⊗(y1 y2), with the factor products written out by name
+        product = kunneth(a, b)
+        A, B, AB = a.algebra, b.algebra, product.algebra
+        assert len(AB.names) == len(A.names) * len(B.names)
+        for x1 in A.names:
+            for y1 in B.names:
+                for x2 in A.names:
+                    for y2 in B.names:
+                        xs = (A.element([x1]) * A.element([x2])).support
+                        ys = (B.element([y1]) * B.element([y2])).support
+                        got = AB.element([f"{x1}⊗{y1}"]) * AB.element([f"{x2}⊗{y2}"])
+                        assert got.support == {f"{u}⊗{v}" for u in xs for v in ys}
+        for degree in range(product.dimension + 1):
+            want = set()
+            for i in range(degree + 1):
+                want ^= {f"{u}⊗{v}" for u in a.w(i).support for v in b.w(degree - i).support}
+            assert product.w(degree).support == want
+
 
 class TestW4Lift:
     def test_wu_square_has_no_lift(self):
@@ -165,6 +230,29 @@ class TestW5Verdict:
 
     def test_five_sphere(self):
         assert w5_verdict(sphere_model(5)).verdict == "established"
+
+    def test_orientability_read_from_w1(self):
+        # synthetic 5-model with w1 = a1 != 0, whose W5 verdict is an exclusion
+        algebra = build_algebra(
+            [("1", 0), ("a1", 1), ("a2", 2), ("b4", 4), ("b5", 5)],
+            {("a1", "a1"): ["a2"], ("a1", "b4"): ["b5"]},
+        )
+        model = mod2.SpaceModel(
+            "synthetic-5",
+            algebra,
+            SWTotal(algebra, {1: algebra.element(["a1"]), 4: algebra.element(["b4"])}),
+            IntProfile.from_mapping({0: (1, ()), 2: (0, (2,)), 5: (0, (2,))}),
+            5,
+        )
+        cert = w5_verdict(model)
+        assert cert.verdict == "excluded"
+        assert cert.parameters["orientable"] is False
+        with pytest.raises(CertificateError, match="orientable"):
+            certify.klein_product_pin_obstruction(cert)
+        rp2 = projective_space(2, 1)
+        assert w5_verdict(kunneth(rp2, rp2)).parameters["orientable"] is False
+        wu = wu_manifold()
+        assert w5_verdict(kunneth(wu, wu)).parameters["orientable"] is True
 
 
 class TestSymbolicBundles:
@@ -289,6 +377,22 @@ class TestModelDocuments:
             },
         }
         with pytest.raises(ModelError, match="associative"):
+            mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(dimension=True), "'dimension'"),
+            (lambda doc: doc["basis"][1].__setitem__(1, False), r"'basis\[1\]'"),
+            (lambda doc: doc["int_profile"]["0"].update(free=True), r"'int_profile\[0\]'"),
+            (lambda doc: doc["int_profile"]["3"].update(torsion=[2.5]), r"'int_profile\[3\]'"),
+        ],
+        ids=["dimension-true", "degree-false", "free-true", "torsion-float"],
+    )
+    def test_non_integer_numbers_refused(self, edit, field):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
             mod2.space_model_from_dict(doc)
 
     def test_unknown_sw_name_named(self):
