@@ -22,10 +22,6 @@ Built-in series:
 * roof sequence ("A-hat"): (sqrt(z)/2)/sinh(sqrt(z)/2);
 * normal-bundle factor: cosh(sqrt(z)/2), the multiplier appearing in
   the immersion integrality theorem.
-
-Extra weight-4 formal classes ("gamma" for the spin^h lift class, "e"
-for a 4-manifold Euler class) live in the same polynomial type so that
-twisted expansions stay exact and purely symbolic.
 """
 
 from __future__ import annotations
@@ -42,15 +38,11 @@ from .exact import bernoulli
 
 Monomial = Tuple[Tuple[str, int], ...]
 
-_EXTRA_WEIGHT4 = ("gamma", "e")
-
 
 def class_degree(name: str) -> int:
     """Cohomological degree of a formal generator (p_i has degree 4i)."""
     if name.startswith("p") and name[1:].isdigit() and int(name[1:]) >= 1:
         return 4 * int(name[1:])
-    if name in _EXTRA_WEIGHT4:
-        return 4
     raise ValueError(f"unknown characteristic-class generator {name!r}")
 
 
@@ -69,18 +61,11 @@ def _mono_degree(mono: Monomial) -> int:
     return sum(class_degree(name) * exp for name, exp in mono)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: Dict[str, int] = dict(a)
-    for name, exp in b:
-        exps[name] = exps.get(name, 0) + exp
-    return tuple(sorted(exps.items()))
-
-
 class PontryaginPolynomial:
-    """Graded polynomial in formal classes with exact rational coefficients.
+    """Polynomial in Pontryagin classes with exact rational coefficients.
 
-    Zero coefficients are never stored.  Instances are treated as
-    immutable; all arithmetic returns new objects.
+    The read-only result type of the genus engine and the twist class:
+    zero coefficients are never stored, and there is no arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -94,61 +79,9 @@ class PontryaginPolynomial:
                     clean[mono] = coeff
         self.terms = clean
 
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def one() -> "PontryaginPolynomial":
-        return PontryaginPolynomial({(): Fraction(1)})
-
-    @staticmethod
-    def variable(name: str) -> "PontryaginPolynomial":
-        return PontryaginPolynomial({_mono_from_mapping({name: 1}): Fraction(1)})
-
     @staticmethod
     def monomial(spec: Mapping[str, int], coeff: Fraction | int = 1) -> "PontryaginPolynomial":
         return PontryaginPolynomial({_mono_from_mapping(spec): Fraction(coeff)})
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "PontryaginPolynomial") -> "PontryaginPolynomial":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return PontryaginPolynomial(terms)
-
-    def __neg__(self) -> "PontryaginPolynomial":
-        return PontryaginPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "PontryaginPolynomial") -> "PontryaginPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        return self.mul_truncated(other, None)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Fraction) -> "PontryaginPolynomial":
-        return PontryaginPolynomial({m: c * v for m, v in self.terms.items()})
-
-    def mul_truncated(
-        self, other: "PontryaginPolynomial", max_degree: int | None
-    ) -> "PontryaginPolynomial":
-        terms: Dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            da = _mono_degree(ma)
-            for mb, cb in other.terms.items():
-                if max_degree is not None and da + _mono_degree(mb) > max_degree:
-                    continue
-                m = _mono_mul(ma, mb)
-                terms[m] = terms.get(m, Fraction(0)) + ca * cb
-        return PontryaginPolynomial(terms)
-
-    def homogeneous_part(self, degree: int) -> "PontryaginPolynomial":
-        return PontryaginPolynomial(
-            {m: c for m, c in self.terms.items() if _mono_degree(m) == degree}
-        )
 
     # -- queries -------------------------------------------------------
 
@@ -169,17 +102,8 @@ class PontryaginPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
-    def variables(self) -> set:
-        return {name for mono in self.terms for name, _ in mono}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PontryaginPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"PontryaginPolynomial({self})"
@@ -353,25 +277,6 @@ def genus_polynomials(
             f"series tracked through degree {series.max_degree}, need {n}"
         )
     return list(_genus_polynomials_cached(series, n))
-
-
-def genus_total(series: CharacteristicSeries, n: int) -> PontryaginPolynomial:
-    """1 + K_1 + ... + K_n."""
-    return sum(genus_polynomials(series, n), PontryaginPolynomial.one())
-
-
-def series_applied_to(
-    series: CharacteristicSeries, poly: PontryaginPolynomial, max_degree: int
-) -> PontryaginPolynomial:
-    """Q(X) for a polynomial argument X with positive degree, truncated."""
-    result = PontryaginPolynomial.one().scale(series.coefficient(0))
-    power = PontryaginPolynomial.one()
-    for k in range(1, series.max_degree + 1):
-        power = power.mul_truncated(poly, max_degree)
-        if power.is_zero():
-            break
-        result = result + power.scale(series.coefficient(k))
-    return result
 
 
 # -- signature-sequence coefficients -----------------------------------
@@ -552,35 +457,33 @@ def mayer_integrality_check(model, k: int) -> Certificate:
 # -- dimension-8 twisted integrand and the 4-manifold indicator ----------
 
 
+def _twisted_integrand_parts() -> Tuple[Fraction, ...]:
+    # cosh(sqrt(X)/2) = 1 + m1 X + m2 X^2 + ...; Ahat = 1 + a1 p1 + a11 p1^2 + a2 p2 + ...
+    _, m1, m2 = mayer_series(2).coefficients
+    return (m1, m2, *_sequence_triple(ahat_series(2), 1))
+
+
 @lru_cache(maxsize=None)
 def spinh_integrand_coefficients() -> Tuple[Fraction, Fraction, Fraction]:
     """Coefficients of (p1^2, p2, gamma^2) in the degree-8 twisted integrand.
 
-    The integrand is 2 * cosh(sqrt(p1 + 2*gamma)/2) * Ahat expanded
-    symbolically, gamma being an independent weight-4 class.  The mixed
-    gamma*p1 coefficient vanishes identically; this is asserted rather
-    than assumed.
+    The integrand is 2 * cosh(sqrt(X)/2) * Ahat with X = p1 + 2*gamma,
+    gamma an independent weight-4 class.  Its degree-8 part is
+    2 * (m2 X^2 + m1 a1 X p1 + a11 p1^2 + a2 p2), read off in closed form.
+    The mixed gamma*p1 coefficient 8 m2 + 4 m1 a1 vanishes identically;
+    this is asserted rather than assumed.
     """
-    arg = PontryaginPolynomial.variable("p1") + PontryaginPolynomial.variable(
-        "gamma"
-    ).scale(Fraction(2))
-    expansion = series_applied_to(mayer_series(2), arg, 8)
-    expansion = expansion.mul_truncated(genus_total(ahat_series(2), 2), 8)
-    top = expansion.homogeneous_part(8).scale(Fraction(2))
-    cross = top.coefficient({"p1": 1, "gamma": 1})
+    m1, m2, a1, a11, a2 = _twisted_integrand_parts()
+    cross = 8 * m2 + 4 * m1 * a1
     if cross != 0:
         raise AssertionError(f"gamma*p1 coefficient expected to vanish, got {cross}")
-    return (
-        top.coefficient({"p1": 2}),
-        top.coefficient({"p2": 1}),
-        top.coefficient({"gamma": 2}),
-    )
+    return 2 * (m2 + m1 * a1 + a11), 2 * a2, 8 * m2
 
 
 def spinh_integrand_dim8(P2sqrt_x: int, y: int, c: int) -> Fraction:
     """Value of the dimension-8 spin^h integrality expression.
 
-    Evaluates the symbolically derived expansion at integral(p1^2) = x^2,
+    Evaluates the closed-form coefficients at integral(p1^2) = x^2,
     integral(p2) = y and integral(gamma^2) = c^2.
     """
     cxx, cy, cgg = spinh_integrand_coefficients()
@@ -589,18 +492,14 @@ def spinh_integrand_dim8(P2sqrt_x: int, y: int, c: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def mayer_indicator_coefficients(sign: str) -> Tuple[Fraction, Fraction]:
-    """(p1, e)-coefficients of 2 * cosh(sqrt(p1 +- 2e)/2) * Ahat in degree 4."""
+    """(p1, e)-coefficients of 2 * cosh(sqrt(p1 +- 2e)/2) * Ahat in degree 4.
+
+    The degree-4 part is 2 * (m1 (p1 +- 2e) + a1 p1), read off in closed form.
+    """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    s = Fraction(2) if sign == "+" else Fraction(-2)
-    arg = PontryaginPolynomial.variable("p1") + PontryaginPolynomial.variable("e").scale(s)
-    expansion = series_applied_to(mayer_series(1), arg, 4)
-    expansion = expansion.mul_truncated(genus_total(ahat_series(1), 1), 4)
-    top = expansion.homogeneous_part(4).scale(Fraction(2))
-    extras = top.variables() - {"p1", "e"}
-    if extras:
-        raise AssertionError(f"unexpected generators {extras} in the indicator")
-    return top.coefficient({"p1": 1}), top.coefficient({"e": 1})
+    m1, _, a1, _, _ = _twisted_integrand_parts()
+    return 2 * (m1 + a1), (4 if sign == "+" else -4) * m1
 
 
 def mayer_indicator_4d(p1: int, euler: int, sign: str) -> Fraction:

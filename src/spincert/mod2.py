@@ -333,9 +333,10 @@ class SpaceModel:
     ):
         if tangent_sw.algebra != algebra:
             raise ModelError("tangent SW class lives in a different algebra")
-        if algebra.top_degree > dimension:
+        # a closed n-manifold has H^n(M; F2) != 0 and nothing above degree n
+        if algebra.top_degree != dimension:
             raise ModelError(
-                f"basis degree {algebra.top_degree} exceeds the dimension {dimension}"
+                f"top basis degree {algebra.top_degree} differs from the dimension {dimension}"
             )
         for degree, free, torsion in int_profile.groups:
             if degree > dimension:
@@ -786,10 +787,15 @@ def _require(doc: Mapping, field: str, kind) -> object:
 
 
 def _degree_key(field: str, key: str) -> int:
+    # int() also reads "+4", " 4 ", "0_4", "04" and non-ASCII digits as 4
     try:
-        return int(key)
+        degree = int(key)
     except ValueError:
-        raise ModelError(f"field {field!r}: non-integer degree key {key!r}") from None
+        pass
+    else:
+        if str(degree) == key:
+            return degree
+    raise ModelError(f"field {field!r}: degree key {key!r} is not a canonical integer")
 
 
 def space_model_from_dict(doc: Mapping) -> SpaceModel:
@@ -804,7 +810,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     unit = _require(doc, "unit", str)
     products = {}
     for i, entry in enumerate(_require(doc, "products", list)):
-        if not _is_row(entry, str, str, list):
+        if not _is_row(entry, str, str, list) or not all(isinstance(n, str) for n in entry[2]):
             raise ModelError(f"field 'products[{i}]': expected [left, right, [names]]")
         pair = (entry[0], entry[1])
         value = frozenset(entry[2])
@@ -819,7 +825,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     sw_components = {}
     for key, names in _require(doc, "sw", dict).items():
         degree = _degree_key("sw", key)
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ModelError(f"field 'sw[{key}]': expected a list of basis names")
         try:
             sw_components[degree] = algebra.element(names)

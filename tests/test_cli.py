@@ -269,6 +269,25 @@ class TestModelLoading:
         assert code == 2
         assert "associative" in document and "(" in document
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["sw"].update({"2": [["z2"]]}),
+            lambda doc: doc["products"][0].__setitem__(2, [["z5"]]),
+            lambda doc: doc["sw"].update({"+3": doc["sw"].pop("3")}),
+            lambda doc: doc.update(dimension=1000),
+        ],
+        ids=["sw-nested-list", "products-nested-list", "degree-key-plus", "dimension-1000"],
+    )
+    def test_malformed_model_exit_two(self, tmp_path, edit):
+        doc = json.loads(mod2.space_model_to_json(mod2.wu_manifold()))
+        edit(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        code, document = run(["wu-product", "--model", str(path)])
+        assert code == 2
+        assert document.startswith("spincert wu-product: error:")
+
     def test_invalid_json_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -113,25 +113,72 @@ def _l_coefficients_by_expansion(m):
     )
 
 
+def _truncated_mul(a, b, max_weight, weight=lambda g: g):
+    """Product of dicts keyed by sorted (generator, multiplicity) tuples.
+
+    Terms whose total weight exceeds max_weight are dropped; a partition
+    key ((i, mult), ...) stands for prod p_i^mult, of weight sum i * mult.
+    """
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            mults = dict(ka)
+            for g, k in kb:
+                mults[g] = mults.get(g, 0) + k
+            if sum(weight(g) * k for g, k in mults.items()) <= max_weight:
+                key = tuple(sorted(mults.items()))
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
 @lru_cache(maxsize=None)  # the Hypothesis test below calls it per example
 def _twist_coeffs_by_expansion(m, twist_power):
-    deg = 8 * m
-    integrand = genus.genus_total(genus.ahat_series(2 * m), 2 * m)
+    integrand = {(): Fraction(1)}
+    for poly in genus.genus_polynomials(genus.ahat_series(2 * m), 2 * m):
+        integrand.update(_engine_to_partitions(poly))
+    e1 = _engine_to_partitions(genus.twist_class_e1(8 * m))
     for _ in range(twist_power):
-        integrand = integrand.mul_truncated(genus.twist_class_e1(deg), deg)
-    top = integrand.homogeneous_part(deg)
+        integrand = _truncated_mul(integrand, e1, 2 * m)
     return (
-        top.coefficient({f"p{m}": 2}),
-        top.coefficient({f"p{2 * m}": 1}),
+        integrand.get(((m, 2),), Fraction(0)),
+        integrand.get(((2 * m, 1),), Fraction(0)),
     )
+
+
+# -- slow oracle for the twisted integrands ---------------------------------
+#
+# 2 * cosh(sqrt(X)/2) * Ahat expanded term by term over named generators of
+# weight 1 (degree 4) and p2 of weight 2, with Ahat from the root expansion
+# above and cosh(sqrt(X)/2) = sum_k X^k / (4^k (2k)!).
+
+_WEIGHT = {"p1": 1, "p2": 2, "gamma": 1, "e": 1}.__getitem__
+
+
+def _twisted_integrand_top(arg, top):
+    """Weight-`top` part of 2 * cosh(sqrt(arg)/2) * Ahat."""
+    ahat = {(): Fraction(1)}
+    for part in _oracle_genus(genus.ahat_series(top), top, n_roots=top)[1:]:
+        ahat.update({tuple((f"p{i}", k) for i, k in key): c for key, c in part.items()})
+    cosh, power = {(): Fraction(1)}, {(): Fraction(1)}
+    for k in range(1, top + 1):
+        power = _truncated_mul(power, arg, top, _WEIGHT)
+        for key, c in power.items():
+            cosh[key] = cosh.get(key, Fraction(0)) + c / (4**k * factorial(2 * k))
+    total = _truncated_mul(cosh, ahat, top, _WEIGHT)
+    return {
+        key: 2 * c
+        for key, c in total.items()
+        if sum(_WEIGHT(g) * k for g, k in key) == top
+    }
 
 
 # -- frozen golden polynomials (confirmed by the oracle below) --------------
 
-L1 = PP.monomial({"p1": 1}, Fraction(1, 3))
-L2 = PP.monomial({"p2": 1}, Fraction(7, 45)) + PP.monomial({"p1": 2}, Fraction(-1, 45))
-A1 = PP.monomial({"p1": 1}, Fraction(-1, 24))
-A2 = PP.monomial({"p1": 2}, Fraction(7, 5760)) + PP.monomial({"p2": 1}, Fraction(-1, 1440))
+P1, P1_2, P2 = (("p1", 1),), (("p1", 2),), (("p2", 1),)
+L1 = PP({P1: Fraction(1, 3)})
+L2 = PP({P2: Fraction(7, 45), P1_2: Fraction(-1, 45)})
+A1 = PP({P1: Fraction(-1, 24)})
+A2 = PP({P1_2: Fraction(7, 5760), P2: Fraction(-1, 1440)})
 
 
 class TestSeries:
@@ -349,13 +396,10 @@ class TestRHCIntegrals:
 
 class TestTwistClass:
     def test_degree_parts(self):
-        e1 = genus.twist_class_e1(8)
-        assert e1.homogeneous_part(0).is_zero()
-        assert e1.homogeneous_part(4) == PP.monomial({"p1": 1})
-        expected8 = PP.monomial({"p1": 2}, Fraction(1, 12)) + PP.monomial(
-            {"p2": 1}, Fraction(-1, 6)
+        # no constant term, p1 in degree 4, p1^2/12 - p2/6 in degree 8
+        assert genus.twist_class_e1(8) == PP(
+            {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
         )
-        assert e1.homogeneous_part(8) == expected8
 
     def test_against_cosh_root_expansion(self):
         # sum_j (e^{y_j} + e^{-y_j} - 2) = 2 sum_{r>=1} z_j^r/(2r)! with z = y^2
@@ -401,6 +445,12 @@ class TestDim8Integrand:
             Fraction(1, 48),
         )
 
+    def test_closed_form_matches_slow_oracle(self):
+        # every degree-8 coefficient, so the gamma*p1 term is checked to vanish
+        top = _twisted_integrand_top({P1: Fraction(1), (("gamma", 1),): Fraction(2)}, 2)
+        cxx, cy, cgg = genus.spinh_integrand_coefficients()
+        assert top == {P1_2: cxx, P2: cy, (("gamma", 2),): cgg}
+
     def test_values(self):
         assert genus.spinh_integrand_dim8(0, 0, 0) == 0
         assert genus.spinh_integrand_dim8(240, 8235, 0) == Fraction(-8229, 48)
@@ -428,6 +478,13 @@ class TestMayerIndicator:
         assert genus.mayer_indicator_coefficients("+") == (Fraction(1, 6), Fraction(1, 2))
         assert genus.mayer_indicator_coefficients("-") == (Fraction(1, 6), Fraction(-1, 2))
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_closed_form_matches_slow_oracle(self, sign):
+        e = Fraction(2 if sign == "+" else -2)
+        top = _twisted_integrand_top({P1: Fraction(1), (("e", 1),): e}, 1)
+        cp, ce = genus.mayer_indicator_coefficients(sign)
+        assert top == {P1: cp, (("e", 1),): ce}
+
     def test_signs_sum_to_signature(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -444,14 +501,10 @@ class TestMayerIndicator:
 
 class TestPontryaginPolynomial:
     def test_no_zero_terms_stored(self):
-        poly = PP.monomial({"p1": 1}) - PP.monomial({"p1": 1})
+        poly = PP({P1: Fraction(0), P2: 0})
         assert poly.terms == {}
         assert poly.is_zero()
-
-    def test_grading_respected(self):
-        poly = PP.monomial({"p1": 2}) + PP.monomial({"p2": 1})
-        assert poly.homogeneous_part(8) == poly
-        assert poly.degree() == 8
+        assert PP.monomial({"p1": 1}, 0).is_zero()
 
     def test_evaluate_requires_all_generators(self):
         poly = PP.monomial({"p1": 1, "p2": 1})
@@ -459,13 +512,10 @@ class TestPontryaginPolynomial:
             poly.evaluate({"p1": 1})
 
     def test_str_deterministic(self):
-        poly = PP.monomial({"p2": 1}, Fraction(7, 45)) + PP.monomial(
-            {"p1": 2}, Fraction(-1, 45)
-        )
+        poly = PP({P2: Fraction(7, 45), P1_2: Fraction(-1, 45)})
         assert str(poly) == "-1/45*p1^2 + 7/45*p2"
 
     def test_unknown_generator_rejected(self):
-        with pytest.raises(ValueError):
-            PP.variable("q3")
-        with pytest.raises(ValueError):
-            PP.variable("p0")
+        for name in ("q3", "p0", "gamma", "e"):
+            with pytest.raises(ValueError):
+                PP.monomial({name: 1})

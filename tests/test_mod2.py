@@ -395,6 +395,58 @@ class TestModelDocuments:
         with pytest.raises(ModelError, match=field):
             mod2.space_model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["sw"].update({"2": [["z2"]]}), r"'sw\[2\]'"),
+            (lambda doc: doc["products"][0].__setitem__(2, [["z5"]]), r"'products\[0\]'"),
+        ],
+        ids=["sw", "products"],
+    )
+    def test_name_lists_hold_strings(self, edit, field):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
+            mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize("field, key", [("sw", "2"), ("int_profile", "3")])
+    @pytest.mark.parametrize(
+        "spelling",
+        ["0_{}", " {} ", "+{}", "0{}", "{}.0", "{}\n"],
+        ids=["underscore", "spaces", "plus", "leading-zero", "decimal-point", "newline"],
+    )
+    def test_degree_keys_are_canonical(self, field, key, spelling):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc[field][spelling.format(key)] = doc[field].pop(key)
+        with pytest.raises(ModelError, match=f"'{field}': degree key"):
+            mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["sw", "int_profile"])
+    def test_non_ascii_degree_key_refused(self, field):
+        # int() reads ARABIC-INDIC DIGIT THREE as 3
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc[field]["\u0663"] = doc[field].pop("3")
+        with pytest.raises(ModelError, match=f"'{field}': degree key"):
+            mod2.space_model_from_dict(doc)
+
+    def test_negative_degree_key_reaches_range_checks(self):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc["sw"]["-1"] = ["z2"]
+        with pytest.raises(ModelError, match="positive-degree components only"):
+            mod2.space_model_from_dict(doc)
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc["int_profile"]["-1"] = {"free": 1, "torsion": []}
+        with pytest.raises(ModelError, match="malformed integral data in degree -1"):
+            mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize("dimension", [0, 4, 6, 1000])
+    def test_top_degree_must_equal_dimension(self, dimension):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc["dimension"] = dimension
+        message = f"top basis degree 5 differs from the dimension {dimension}"
+        with pytest.raises(ModelError, match=message):
+            mod2.space_model_from_dict(doc)
+
     def test_unknown_sw_name_named(self):
         doc = json.loads(mod2.space_model_to_json(wu_manifold()))
         doc["sw"]["2"] = ["nope"]
