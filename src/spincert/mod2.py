@@ -11,6 +11,7 @@ data, never computed.
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
@@ -268,33 +269,30 @@ class SWTotal:
 
 @dataclass(frozen=True)
 class IntProfile:
-    """Integral cohomology, declared: degree -> (free rank, torsion orders)."""
+    """Integral cohomology, declared: degree -> (free rank, torsion orders).
 
-    groups: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    ``groups`` holds the non-zero degrees only, in ascending order.
+    """
+
+    groups: Dict[int, Tuple[int, Tuple[int, ...]]]
 
     @staticmethod
     def from_mapping(data: Mapping[int, Tuple[int, Iterable[int]]]) -> "IntProfile":
-        rows = []
+        groups = {}
         for degree in sorted(data):
             free, torsion = data[degree]
             torsion = tuple(sorted(int(t) for t in torsion))
             if degree < 0 or free < 0 or any(t < 2 for t in torsion):
                 raise ModelError(f"malformed integral data in degree {degree}")
             if free or torsion:
-                rows.append((degree, int(free), torsion))
-        return IntProfile(tuple(rows))
+                groups[degree] = (int(free), torsion)
+        return IntProfile(groups)
 
     def free(self, degree: int) -> int:
-        for d, f, _ in self.groups:
-            if d == degree:
-                return f
-        return 0
+        return self.groups.get(degree, (0, ()))[0]
 
     def torsion(self, degree: int) -> Tuple[int, ...]:
-        for d, _, t in self.groups:
-            if d == degree:
-                return t
-        return ()
+        return self.groups.get(degree, (0, ()))[1]
 
     def mod2_dim(self, degree: int) -> int:
         # universal coefficients with F2: free part plus 2-torsion in this
@@ -304,7 +302,7 @@ class IntProfile:
         return self.free(degree) + even_here + even_next
 
     def is_trivial(self, degree: int) -> bool:
-        return self.free(degree) == 0 and not self.torsion(degree)
+        return degree not in self.groups
 
     def group_text(self, degree: int) -> str:
         free, torsion = self.free(degree), self.torsion(degree)
@@ -338,12 +336,16 @@ class SpaceModel:
             raise ModelError(
                 f"top basis degree {algebra.top_degree} differs from the dimension {dimension}"
             )
-        for degree, free, torsion in int_profile.groups:
+        groups = int_profile.groups
+        for degree in groups:
             if degree > dimension:
                 raise ModelError(f"integral data above the dimension, in degree {degree}")
-        for degree in range(dimension + 1):
+        # both sides vanish outside the basis degrees, the group degrees and
+        # the degrees just below the groups (2-torsion counts one degree down)
+        dims = Counter(algebra.degrees)
+        for degree in sorted({*dims, *groups, *(d - 1 for d in groups if d)}):
             expected = int_profile.mod2_dim(degree)
-            actual = algebra.dim(degree)
+            actual = dims[degree]
             if actual != expected:
                 raise ModelError(
                     f"universal-coefficient mismatch in degree {degree}: "
@@ -446,45 +448,30 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     ]
     algebra = F2Algebra(basis, mul, f"{left.unit}⊗{right.unit}")
 
-    dimension = a.dimension + b.dimension
-    sw_components: Dict[int, F2Element] = {}
-    for degree in range(1, dimension + 1):
-        mask = 0
-        for i in range(degree + 1):
-            mask ^= _tensor(a.w(i).mask, b.w(degree - i).mask, width)
-        sw_components[degree] = F2Element(algebra, mask)
+    # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
+    sw: Dict[int, int] = {}
+    for i in (0, *a.tangent_sw.components):
+        for j in (0, *b.tangent_sw.components):
+            sw[i + j] = sw.get(i + j, 0) ^ _tensor(a.w(i).mask, b.w(j).mask, width)
+    del sw[0]
 
-    profile: Dict[int, Tuple[int, List[int]]] = {}
-    for degree in range(dimension + 1):
-        free = 0
-        torsion: List[int] = []
-        for i in range(degree + 1):
-            j = degree - i
-            fa, fb = a.int_profile.free(i), b.int_profile.free(j)
-            ta, tb = a.int_profile.torsion(i), b.int_profile.torsion(j)
-            free += fa * fb
-            torsion.extend(list(tb) * fa)
-            torsion.extend(list(ta) * fb)
-            torsion.extend(
-                gcd(s, t) for s in ta for t in tb if gcd(s, t) > 1
-            )
-        for i in range(degree + 2):
-            j = degree + 1 - i
-            torsion.extend(
-                gcd(s, t)
-                for s in a.int_profile.torsion(i)
-                for t in b.int_profile.torsion(j)
-                if gcd(s, t) > 1
-            )
-        if free or torsion:
-            profile[degree] = (free, torsion)
+    free: Counter = Counter()
+    torsion: Dict[int, List[int]] = defaultdict(list)
+    for i, (fa, ta) in a.int_profile.groups.items():
+        for j, (fb, tb) in b.int_profile.groups.items():
+            tor = [gcd(s, t) for s in ta for t in tb if gcd(s, t) > 1]
+            free[i + j] += fa * fb
+            torsion[i + j] += [*tb] * fa + [*ta] * fb + tor
+            if i + j:
+                torsion[i + j - 1] += tor
+    profile = {d: (free[d], tors) for d, tors in torsion.items()}
 
     return SpaceModel(
         name=f"{a.name} x {b.name}",
         algebra=algebra,
-        tangent_sw=SWTotal(algebra, sw_components),
+        tangent_sw=SWTotal(algebra, {d: F2Element(algebra, mask) for d, mask in sw.items()}),
         int_profile=IntProfile.from_mapping(profile),
-        dimension=dimension,
+        dimension=a.dimension + b.dimension,
     )
 
 
@@ -747,7 +734,7 @@ def space_model_to_dict(model: SpaceModel) -> Dict:
     }
     profile = {
         str(d): {"free": free, "torsion": list(tors)}
-        for d, free, tors in model.int_profile.groups
+        for d, (free, tors) in model.int_profile.groups.items()
     }
     return {
         "name": model.name,

@@ -233,6 +233,17 @@ class TestModelLoading:
             ["wu-product", "--json"]
         )
 
+    def test_wu_product_on_a_million_dimensional_sphere(self, tmp_path):
+        # Kunneth sums and model checks visit declared degrees only, not every degree
+        sphere = mod2.sphere_model(10**6)
+        path = tmp_path / "sphere.json"
+        path.write_text(mod2.space_model_to_json(sphere))
+        code, document = run(["wu-product", "--model", str(path), "--json"])
+        assert code == 0
+        assert json.loads(document)["parameters"]["H4_integral"] == "0"
+        groups = mod2.kunneth(sphere, sphere).int_profile.groups
+        assert groups == {0: (1, ()), 10**6: (2, ()), 2 * 10**6: (1, ())}
+
     def test_mayer_check_with_model_file(self):
         path = resources.files("spincert").joinpath("data/rhc8-a0.json")
         code, document = run(["mayer-check", "--model", str(path), "--k", "1", "--json"])

@@ -1,9 +1,11 @@
 import json
+import random
 import re
 from importlib import resources
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincert import certify, mod2
 from spincert.certificates import CertificateError
@@ -55,6 +57,78 @@ def projective_space(n, gen_degree):
         IntProfile.from_mapping(profile),
         gen_degree * n,
     )
+
+
+def random_model(rng, name):
+    """A model with a random integral profile and a ring of matching mod-2 size.
+
+    Every product of two non-unit elements is zero, and the SW class is a random
+    choice in each degree.  Torsion orders are even or odd, and degree 0 only
+    gets odd torsion: even torsion there has a mod-2 trace in degree -1, which
+    no ring holds, so its products would fail the universal-coefficient check.
+    """
+    while True:
+        dimension = rng.randint(0, 6)
+        data = {}
+        for degree in range(dimension + 1):
+            orders = (3, 9, 15) if degree == 0 else (2, 3, 4, 6, 9)
+            torsion = [rng.choice(orders) for _ in range(rng.choice((0, 0, 1, 2)))]
+            free = rng.choice((0, 0, 1, 2))
+            if degree in (0, dimension):
+                free = max(free, 1)  # the unit and a top class
+            data[degree] = (free, torsion if degree < dimension else [])
+        profile = IntProfile.from_mapping(data)
+        sizes = [profile.mod2_dim(degree) for degree in range(dimension + 1)]
+        if sum(sizes) <= 6:
+            break
+    basis = [("1", 0)] + [
+        (f"e{degree}.{k}", degree)
+        for degree, size in enumerate(sizes)
+        for k in range(size - (degree == 0))
+    ]
+    algebra = build_algebra(basis, {})
+    sw = {}
+    for degree in range(1, dimension + 1):
+        names = [n for n, d in basis if d == degree and rng.random() < 0.5]
+        sw[degree] = algebra.element(names)
+    return mod2.SpaceModel(name, algebra, SWTotal(algebra, sw), profile, dimension)
+
+
+def dense_kunneth_sw_and_profile(a, b):
+    """Slow oracle: the product SW class and profile summed over every degree pair."""
+    width = len(b.algebra.names)
+    dimension = a.dimension + b.dimension
+    sw = {}
+    for degree in range(1, dimension + 1):
+        mask = 0
+        for i in range(degree + 1):
+            mask ^= mod2._tensor(a.w(i).mask, b.w(degree - i).mask, width)
+        if mask:
+            sw[degree] = mask
+
+    profile = {}
+    for degree in range(dimension + 1):
+        free = 0
+        torsion = []
+        for i in range(degree + 1):
+            j = degree - i
+            fa, fb = a.int_profile.free(i), b.int_profile.free(j)
+            ta, tb = a.int_profile.torsion(i), b.int_profile.torsion(j)
+            free += fa * fb
+            torsion.extend(list(tb) * fa)
+            torsion.extend(list(ta) * fb)
+            torsion.extend(gcd(s, t) for s in ta for t in tb if gcd(s, t) > 1)
+        for i in range(degree + 2):
+            j = degree + 1 - i
+            torsion.extend(
+                gcd(s, t)
+                for s in a.int_profile.torsion(i)
+                for t in b.int_profile.torsion(j)
+                if gcd(s, t) > 1
+            )
+        if free or torsion:
+            profile[degree] = (free, torsion)
+    return sw, IntProfile.from_mapping(profile)
 
 
 class TestBuildAlgebra:
@@ -120,6 +194,22 @@ class TestWuManifold:
         bad_profile = IntProfile.from_mapping({0: (1, ()), 5: (1, ())})
         with pytest.raises(ModelError, match="degree 2"):
             mod2.SpaceModel("bad", wu.algebra, wu.tangent_sw, bad_profile, 5)
+
+    @pytest.mark.parametrize(
+        "data, degree",
+        [
+            # degrees 3 and 5 hold one basis element each, the profile predicts two
+            ({0: (1, ()), 3: (1, (2,)), 5: (2, ())}, 3),
+            # Z/2 in degree 2 predicts a class in degree 1, which holds no basis element
+            ({0: (1, ()), 2: (0, (2,)), 3: (0, (2,)), 5: (1, ())}, 1),
+        ],
+        ids=["basis-degrees", "degree-below-a-group"],
+    )
+    def test_uct_mismatch_names_the_lowest_degree(self, data, degree):
+        wu = wu_manifold()
+        profile = IntProfile.from_mapping(data)
+        with pytest.raises(ModelError, match=f"mismatch in degree {degree}:"):
+            mod2.SpaceModel("bad", wu.algebra, wu.tangent_sw, profile, 5)
 
 
 class TestKunneth:
@@ -189,6 +279,24 @@ class TestKunneth:
             for i in range(degree + 1):
                 want ^= {f"{u}⊗{v}" for u in a.w(i).support for v in b.w(degree - i).support}
             assert product.w(degree).support == want
+
+    def test_sparse_sums_match_the_dense_oracle(self):
+        rng = random.Random(9)
+        models = [random_model(rng, f"m{k}") for k in range(201)]
+        seen = set()
+        for a, b in zip(models, models[1:]):
+            product = kunneth(a, b)
+            sw, profile = dense_kunneth_sw_and_profile(a, b)
+            assert {d: w.mask for d, w in product.tangent_sw.components.items()} == sw
+            assert product.int_profile == profile
+            for i, (_, ta) in a.int_profile.groups.items():
+                for j, (fb, tb) in b.int_profile.groups.items():
+                    if any(gcd(s, t) > 1 for s in ta for t in tb):
+                        seen.add("tor-in-degree-0" if i + j == 0 else "tor-shift")
+                    if ta and fb:
+                        seen.add("torsion-beside-free")
+                    seen.update("even" if t % 2 == 0 else "odd" for t in ta)
+        assert seen == {"tor-in-degree-0", "tor-shift", "torsion-beside-free", "even", "odd"}
 
 
 class TestW4Lift:
@@ -336,7 +444,60 @@ class TestSymbolicBundles:
                 assert mod2.binom_mod2(n, k) == comb(n, k) % 2
 
 
+WU_TEXT = resources.files("spincert").joinpath("data/wu.json").read_text()
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 7)
+    | st.floats()
+    | st.sampled_from(["1", "z2", "z3", "z5", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["free", "torsion", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+ODD_KEYS = st.sampled_from(["-1", "04", "+4", " 4", "4.0", "\u0663", "", "free", "99"])
+
+
+def _slots(node):
+    """(container, key) for every entry of a JSON document, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_wu_documents(draw):
+    """data/wu.json with values replaced, deleted or added at random paths."""
+    doc = json.loads(WU_TEXT)
+    # paths from a drawn seed: sampled_from would favour the first field, "name"
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    for _ in range(draw(st.integers(1, 4))):
+        container, key = rng.choice(list(_slots(doc)))
+        action = rng.choice(["replace", "delete", "add"])
+        if action == "replace":
+            container[key] = draw(JSON_VALUES)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(ODD_KEYS)] = draw(JSON_VALUES)
+        else:
+            container.insert(key, draw(JSON_VALUES))
+    return doc
+
+
 class TestModelDocuments:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(mutated_wu_documents())
+    def test_mutated_documents_give_a_model_or_a_model_error(self, doc):
+        try:
+            model = mod2.space_model_from_dict(doc)
+        except ModelError:
+            return
+        assert isinstance(model, mod2.SpaceModel)
+
     def test_shipped_wu_document_matches_constructor(self):
         shipped = resources.files("spincert").joinpath("data/wu.json").read_bytes()
         assert mod2.space_model_to_json(wu_manifold()).encode() == shipped
