@@ -34,13 +34,6 @@ from .exact import (
     quadratic_residues,
 )
 
-SEARCH_BOUND = 10**6  # largest odd multiplier tried before giving up
-
-
-class SearchExhaustedError(RuntimeError):
-    pass
-
-
 class InconsistentLiftError(ValueError):
     pass
 
@@ -187,16 +180,30 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+def _multiplier(a: int, b: int, target: int) -> int:
+    """First t in 1, -1, 3, -3, ... with a + b*t >= target, for b odd.
+
+    When need = target - a <= -|b| both signs reach at magnitude 1 and
+    t = 1 comes first; otherwise only t of the sign of b can reach.
+    """
+    need = target - a
+    if need <= -abs(b):
+        return 1
+    magnitude = max(1, -(-need // abs(b)))
+    return (magnitude | 1) * (1 if b > 0 else -1)
+
+
 def realization_search(m: int, sigma_min: int = 1) -> RealizationWitness:
-    """Deterministic search for an odd-signature realizable model.
+    """Deterministic witness for an odd-signature realizable model.
 
     Follows the power-of-two recipe: pick a positive odd base x clearing
     the odd denominators of conditions (ii) and (iii), rescale so
     s_mm * x is an even integer, pick an odd base y making s_2m * y an
-    odd integer, then walk signed odd multipliers of y (smallest
-    magnitude first, positive before negative) until the signature
-    reaches max(5, sigma_min).  The returned witness is re-validated
-    through :func:`realization_conditions`.
+    odd integer, then take the signed odd multiplier t of y of smallest
+    magnitude (positive before negative) whose signature reaches
+    max(5, sigma_min); it is one ceiling division, so any sigma_min is
+    answered at once.  The returned witness is re-validated through
+    :func:`realization_conditions`.
     """
     if not _is_power_of_two(m):
         raise ValueError(f"the search recipe needs m to be a power of two, got {m}")
@@ -216,22 +223,15 @@ def realization_search(m: int, sigma_min: int = 1) -> RealizationWitness:
     if b_part.denominator != 1 or b_part.numerator % 2 == 0:
         raise AssertionError("s_2m * y0 is not an odd integer")
 
-    target = max(5, sigma_min)
-    for magnitude in range(1, SEARCH_BOUND + 1, 2):
-        for t in (magnitude, -magnitude):
-            sigma = a_part + b_part * t
-            if sigma.denominator == 1 and sigma >= target:
-                witness = poincare_witness(int(sigma), x, y0 * t)
-                cert = realization_conditions(m, witness.P2, witness.Q)
-                if cert.verdict != ESTABLISHED or cert.parameters["sigma"] != sigma:
-                    raise AssertionError(
-                        "search output failed re-validation through "
-                        "realization_conditions"
-                    )
-                return witness
-    raise SearchExhaustedError(
-        f"no witness with sigma >= {target} within odd multipliers up to {SEARCH_BOUND}"
-    )
+    a, b = a_part.numerator, b_part.numerator
+    t = _multiplier(a, b, max(5, sigma_min))
+    witness = poincare_witness(a + b * t, x, y0 * t)
+    cert = realization_conditions(m, witness.P2, witness.Q)
+    if cert.verdict != ESTABLISHED or cert.parameters["sigma"] != witness.sigma:
+        raise AssertionError(
+            "search output failed re-validation through realization_conditions"
+        )
+    return witness
 
 
 # -- the signature bound ---------------------------------------------------
@@ -466,16 +466,18 @@ def guaranteed_structures(n: int) -> GuaranteeRow:
 # -- existence combinators ----------------------------------------------------
 
 
-def structure_certificate(k: int, dimension: int, basis: str) -> Certificate:
-    """Established spin^k claim with a recorded (possibly cited) basis."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _spin_k(k: int, dimension: int, *checks: Check) -> Certificate:
     return Certificate(
         claim=spin_label(k),
         parameters={"k": k, "dimension": dimension, "orientable": True},
-        checks=[Check("basis of the claim", basis, None, "recorded", True)],
+        checks=list(checks),
         verdict=ESTABLISHED,
     )
+
+
+def structure_certificate(k: int, dimension: int, basis: str) -> Certificate:
+    """Established spin^k claim with a recorded (possibly cited) basis."""
+    return _spin_k(k, dimension, Check("basis of the claim", basis, None, "recorded", True))
 
 
 def _established_spin_k(cert: Certificate, role: str) -> int:
@@ -505,14 +507,11 @@ def product_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
     dimension = cert_a.parameters.get("dimension", 0) + cert_b.parameters.get(
         "dimension", 0
     )
-    return Certificate(
-        claim=spin_label(k),
-        parameters={"k": k, "dimension": dimension, "orientable": True},
-        checks=[
-            Check("factor claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
-            Check("product rule", rule, None, "recorded", True),
-        ],
-        verdict=ESTABLISHED,
+    return _spin_k(
+        k,
+        dimension,
+        Check("factor claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
+        Check("product rule", rule, None, "recorded", True),
     )
 
 
@@ -527,20 +526,12 @@ def product_factor_combinator(
     dimension = product_cert.parameters.get("dimension", 0) - spin_factor_cert.parameters.get(
         "dimension", 0
     )
-    return Certificate(
-        claim=spin_label(k),
-        parameters={"k": k, "dimension": dimension, "orientable": True},
-        checks=[
-            Check(
-                "input claims",
-                [product_cert.claim, spin_factor_cert.claim],
-                None,
-                "recorded",
-                True,
-            ),
-            Check("factor rule", "spin factor removed", None, "recorded", True),
-        ],
-        verdict=ESTABLISHED,
+    claims = [product_cert.claim, spin_factor_cert.claim]
+    return _spin_k(
+        k,
+        dimension,
+        Check("input claims", claims, None, "recorded", True),
+        Check("factor rule", "spin factor removed", None, "recorded", True),
     )
 
 
@@ -558,15 +549,11 @@ def connected_sum_combinator(cert_a: Certificate, cert_b: Certificate) -> Certif
         raise CertificateError(
             f"connected sum needs equal dimensions, got {da} and {db}"
         )
-    k = max(ka, kb)
-    return Certificate(
-        claim=spin_label(k),
-        parameters={"k": k, "dimension": da, "orientable": True},
-        checks=[
-            Check("summand claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
-            Check("summand dimensions", [da, db], None, "=", True),
-        ],
-        verdict=ESTABLISHED,
+    return _spin_k(
+        max(ka, kb),
+        da,
+        Check("summand claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
+        Check("summand dimensions", [da, db], None, "=", True),
     )
 
 

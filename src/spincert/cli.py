@@ -336,7 +336,7 @@ def run(argv) -> Tuple[int, str]:
         doc, verdict = args.handler(args)
     except UsageError as err:
         return 2, str(err)
-    except (ModelError, certify.SearchExhaustedError, ValueError) as err:
+    except (ModelError, ValueError) as err:
         return 2, f"spincert {args.command}: error: {err}"
     document = json.dumps(doc, indent=2) if args.json else render_text(doc)
     return (1 if verdict == EXCLUDED else 0), document

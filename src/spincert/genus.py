@@ -439,19 +439,12 @@ def mayer_integrality_check(model, k: int) -> Certificate:
         "integral(e1^2*ahat)": values["e1^2*ahat"],
         "orientable": True,
     }
-    if all_integral:
-        return Certificate(
-            claim="mayer-integrality-consistent",
-            parameters=parameters,
-            checks=checks,
-            verdict=ESTABLISHED,
-        )
-    return Certificate(
-        claim=f"not-{spin_label(k)}",
-        parameters=parameters,
-        checks=checks,
-        verdict=EXCLUDED,
+    claim, verdict = (
+        ("mayer-integrality-consistent", ESTABLISHED)
+        if all_integral
+        else (f"not-{spin_label(k)}", EXCLUDED)
     )
+    return Certificate(claim=claim, parameters=parameters, checks=checks, verdict=verdict)
 
 
 # -- dimension-8 twisted integrand and the 4-manifold indicator ----------

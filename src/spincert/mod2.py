@@ -496,51 +496,28 @@ def w5_verdict(model: SpaceModel) -> Certificate:
     """Primary spin^h obstruction: W5 = 0 exactly when w4 lifts integrally."""
     lift = w4_integral_lift_exists(model)
     w4 = model.w(4)
-    parameters = {
-        "model": model.name,
-        "dimension": model.dimension,
-        "k": 3,
-        "orientable": model.w(1).is_zero(),
-        "w4": str(w4),
-        "H4_integral": model.int_profile.group_text(4),
-    }
-    if lift == "yes":
-        return Certificate(
-            claim="w5-obstruction-vanishes",
-            parameters=parameters,
-            checks=[Check("w4 component", str(w4), "0", "=", True)],
-            verdict=ESTABLISHED,
-        )
-    if lift == "no":
-        return Certificate(
-            claim="not-spin^h",
-            parameters=parameters,
-            checks=[
-                Check("w4 component", str(w4), "0", "!=", True),
-                Check(
-                    "degree-4 integral cohomology",
-                    model.int_profile.group_text(4),
-                    "0",
-                    "=",
-                    True,
-                ),
-            ],
-            verdict=EXCLUDED,
-        )
+    h4 = model.int_profile.group_text(4)
+    claim, verdict = {
+        "yes": ("w5-obstruction-vanishes", ESTABLISHED),
+        "no": ("not-spin^h", EXCLUDED),
+        "unknown": ("w5-obstruction-undetermined", INCONCLUSIVE),
+    }[lift]
+    checks = [Check("w4 component", str(w4), "0", "=" if lift == "yes" else "!=", True)]
+    if lift != "yes":
+        relation = "=" if lift == "no" else "!="
+        checks.append(Check("degree-4 integral cohomology", h4, "0", relation, True))
     return Certificate(
-        claim="w5-obstruction-undetermined",
-        parameters=parameters,
-        checks=[
-            Check("w4 component", str(w4), "0", "!=", True),
-            Check(
-                "degree-4 integral cohomology",
-                model.int_profile.group_text(4),
-                "0",
-                "!=",
-                True,
-            ),
-        ],
-        verdict=INCONCLUSIVE,
+        claim=claim,
+        parameters={
+            "model": model.name,
+            "dimension": model.dimension,
+            "k": 3,
+            "orientable": model.w(1).is_zero(),
+            "w4": str(w4),
+            "H4_integral": h4,
+        },
+        checks=checks,
+        verdict=verdict,
     )
 
 
@@ -831,6 +808,8 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
             raise ModelError(
                 f"field 'int_profile[{key}]': expected {{'free': int, 'torsion': [...]}}"
             )
+        if degree == 0 and entry["torsion"]:
+            raise ModelError("field 'int_profile[0]': H^0 is free, so its torsion must be empty")
         profile_data[degree] = (entry["free"], entry["torsion"])
     profile = IntProfile.from_mapping(profile_data)
     return SpaceModel(name, algebra, SWTotal(algebra, sw_components), profile, dimension)

@@ -1,10 +1,15 @@
+import functools
+import itertools
 import json
+import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 from spincert import certify, genus, mod2
 from spincert.certificates import Certificate, CertificateError, Check
+from spincert.exact import odd_part
 
 
 class TestRealizationConditions:
@@ -65,6 +70,71 @@ class TestRealizationSearch:
 
     def test_deterministic(self):
         assert certify.realization_search(1) == certify.realization_search(1)
+
+
+def _walk(a, b, target):
+    """Slow oracle: try the signed odd multipliers 1, -1, 3, -3, ... in order."""
+    for magnitude in itertools.count(1, 2):
+        for t in (magnitude, -magnitude):
+            sigma = a + b * t
+            if sigma.denominator == 1 and sigma >= target:
+                return t
+
+
+def _recipe(m):
+    """(s_mm * x, s_2m * y0, x, y0) of the power-of-two recipe, recomputed."""
+    coeffs = genus.l_coefficients(m)
+    c1 = Fraction((-1) ** (m + 1), factorial(2 * m - 1)) * coeffs.s_m + Fraction(
+        1, 2 * factorial(4 * m - 1)
+    )
+    x0 = lcm(odd_part(c1.denominator), odd_part(factorial(2 * m - 1) ** 2))
+    x = x0 * (coeffs.s_mm * x0).denominator * 2
+    y0 = lcm(coeffs.s_2m.denominator, odd_part(factorial(4 * m - 1)))
+    return coeffs.s_mm * x, coeffs.s_2m * y0, x, y0
+
+
+def _walk_witness(m, sigma_min):
+    a, b, x, y0 = _recipe(m)
+    t = _walk(a, b, max(5, sigma_min))
+    return a + b * t, x, y0 * t
+
+
+class TestClosedFormMultiplier:
+    @pytest.fixture(autouse=True)
+    def _cached_four_squares(self, monkeypatch):
+        # P2 = x does not depend on sigma_min, so one decomposition per m serves
+        # the sweep; at m = 4 each uncached call takes about 5 ms
+        monkeypatch.setattr(certify, "four_squares", functools.lru_cache(certify.four_squares))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_walk(self, m):
+        for sigma_min in range(-3, 2001):
+            witness = certify.realization_search(m, sigma_min)
+            assert (witness.sigma, witness.P2, witness.Q) == _walk_witness(m, sigma_min)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_walk_at_each_switch(self, m):
+        # a witness sigma is the last sigma_min it answers; one more switches
+        # to the next multiplier
+        sigma_min = -3
+        for _ in range(25):
+            sigma = certify.realization_search(m, sigma_min).sigma
+            for value in (sigma, sigma + 1):
+                witness = certify.realization_search(m, value)
+                assert (witness.sigma, witness.P2, witness.Q) == _walk_witness(m, value)
+            sigma_min = sigma + 1
+
+    def test_helper_matches_the_walk(self):
+        rng = random.Random(5)
+        for _ in range(4000):
+            a = rng.randint(-2000, 2000)
+            b = rng.choice((1, -1)) * rng.randrange(1, 400, 2)
+            target = rng.randint(-2000, 2000)
+            assert certify._multiplier(a, b, target) == _walk(Fraction(a), b, target)
+
+    def test_sigma_min_far_beyond_any_walk(self):
+        witness = certify.realization_search(1, 10**9)
+        assert (witness.sigma, witness.P2, witness.Q) == (1000000013, 90, 6428571525)
 
 
 class TestPoincareWitness:

@@ -8,10 +8,11 @@ from math import factorial, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincert import cli, mod2
+from spincert import certify, cli, genus, mod2
 from spincert.cli import load_model, run
-from spincert.exact import bernoulli
+from spincert.exact import bernoulli, odd_part
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,6 +251,18 @@ class TestModelLoading:
         assert code == 1
         assert json.loads(document)["parameters"]["integral(ahat)"] == "2057/32"
 
+    @pytest.mark.parametrize("torsion", [[2], [3]])
+    def test_degree_zero_torsion_exit_two(self, tmp_path, torsion):
+        # H^0(X; Z) is free; before the parser refused this, Z/2 failed later
+        # with a universal-coefficient message about degree 1 and Z/3 loaded
+        doc = json.loads(mod2.space_model_to_json(mod2.sphere_model(2)))
+        doc["int_profile"]["0"]["torsion"] = torsion
+        path = tmp_path / "s2.json"
+        path.write_text(json.dumps(doc))
+        code, document = run(["wu-product", "--model", str(path)])
+        assert code == 2
+        assert "int_profile[0]" in document
+
     def test_missing_field_exit_two(self, tmp_path):
         doc = json.loads(mod2.space_model_to_json(mod2.wu_manifold()))
         del doc["sw"]
@@ -339,3 +352,114 @@ class TestMayerCheckFlags:
         code, document = run(["mayer-check", "--m", "1", "--k", "1", "--p2", "1", "--q", "1"])
         assert code == 2
         assert "signature" in document
+
+
+class TestWitnessSearchFlags:
+    def test_sigma_min_of_a_billion(self):
+        code, document = run(["realize", "--m", "1", "--sigma-min", "1000000000", "--json"])
+        assert code == 0
+        witness = json.loads(document)["witness"]
+        assert (witness["sigma"], witness["P2"], witness["Q"]) == (1000000013, 90, 6428571525)
+
+    def test_sigma_min_of_ten_to_the_forty_is_minimal(self):
+        target = 10**40
+        code, document = run(["realize", "--m", "4", "--sigma-min", str(target), "--json"])
+        assert code == 0
+        witness = json.loads(document)["witness"]
+        sigma, P2, Q = witness["sigma"], witness["P2"], witness["Q"]
+        assert sigma % 2 == 1 and sigma >= target
+        # Q = y0 * t for the odd multiplier t; t - 2 on the same side misses
+        coeffs = genus.l_coefficients(4)
+        y0 = lcm(coeffs.s_2m.denominator, odd_part(factorial(15)))
+        t, rest = divmod(Q, y0)
+        assert rest == 0 and t % 2 == 1
+        smaller = t - 2 if t > 0 else t + 2
+        assert certify.realization_conditions(4, P2, smaller * y0).parameters["sigma"] < target
+
+
+SHIPPED = [
+    str(resources.files("spincert").joinpath(f"data/{name}"))
+    for name in ("wu.json", "rhc8-a0.json")
+]
+INTS = st.integers(-(10**12), 10**12)
+RANKS = st.integers(-3, 33) | INTS  # k, mostly near the 1 <= k < 2m window
+
+
+def _flags(**options):
+    """argv fragments: each flag is present or absent, with a drawn value."""
+    return st.tuples(
+        *(
+            st.one_of(st.none(), value).map(
+                lambda v, flag=flag: [] if v is None else [flag, str(v)]
+            )
+            for flag, value in options.items()
+        )
+    ).map(lambda parts: [word for part in parts for word in part])
+
+
+# sizes stay below the known limits: no witness search for m >= 8, no
+# genus degree above 10, no s-coeffs --m above 16, no pin table above 64
+SUBCOMMANDS = st.one_of(
+    st.tuples(
+        st.just(["genus", "--series"]),
+        st.sampled_from(["L", "ahat", "mayer"]).map(lambda s: [s]),
+        st.integers(-3, 10).map(lambda d: ["--degree", str(d)]),
+    ),
+    st.tuples(st.just(["s-coeffs", "--m"]), st.integers(-3, 16).map(lambda m: [str(m)])),
+    st.tuples(
+        st.just(["realize"]),
+        st.integers(-3, 7).map(lambda m: ["--m", str(m)]),
+        _flags(**{"--sigma-min": st.integers(-(10**40), 10**40)}),
+    ),
+    st.tuples(
+        st.just(["realize"]),
+        st.integers(-3, 16).map(lambda m: ["--m", str(m)]),
+        _flags(**{"--p2": INTS, "--q": INTS}),
+    ),
+    st.tuples(
+        st.just(["bound"]),
+        RANKS.map(lambda k: ["--k", str(k)]),
+        _flags(**{"--m": INTS, "--sigma": INTS}),
+        st.sampled_from([[], ["--first-dim"]]),
+    ),
+    st.tuples(st.just(["non-spinh8", "--a"]), INTS.map(lambda a: [str(a)])),
+    st.tuples(st.just(["wu-product"]), _flags(**{"--model": st.sampled_from(SHIPPED)})),
+    st.tuples(st.just(["pin-table"]), _flags(**{"--max-dim": st.integers(-3, 64)})),
+    st.tuples(
+        st.just(["mayer-check"]),
+        RANKS.map(lambda k: ["--k", str(k)]),
+        _flags(
+            **{
+                "--model": st.sampled_from(SHIPPED),
+                "--m": st.integers(-3, 16),
+                "--p2": INTS,
+                "--q": INTS,
+                "--sigma": INTS,
+                "--betti": INTS,
+            }
+        ),
+    ),
+    st.tuples(
+        st.just(["w4-lift"]),
+        INTS.map(lambda p: ["--p1-m", str(p)]),
+        INTS.map(lambda p: ["--p1-e", str(p)]),
+        _flags(
+            **{
+                "--variant": st.sampled_from(["plain", "spin4-plus", "spin4-minus"]),
+                "--euler": INTS,
+            }
+        ),
+    ),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+class TestArgvProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(SUBCOMMANDS, st.booleans())
+    def test_exit_code_follows_the_verdict(self, argv, as_json):
+        code, document = run(argv + ["--json"] * as_json)
+        assert code in (0, 1, 2)
+        if as_json and code != 2:
+            doc = json.loads(document)
+            verdict = doc.get("verdict", doc.get("certificate", {}).get("verdict"))
+            assert (code == 1) == (verdict == "excluded")

@@ -608,6 +608,12 @@ class TestModelDocuments:
         with pytest.raises(ModelError, match=message):
             mod2.space_model_from_dict(doc)
 
+    def test_degree_zero_torsion_refused(self):
+        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc["int_profile"]["0"]["torsion"] = [3]
+        with pytest.raises(ModelError, match=r"'int_profile\[0\]': H\^0 is free"):
+            mod2.space_model_from_dict(doc)
+
     def test_unknown_sw_name_named(self):
         doc = json.loads(mod2.space_model_to_json(wu_manifold()))
         doc["sw"]["2"] = ["nope"]
