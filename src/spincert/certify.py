@@ -128,7 +128,7 @@ def realization_conditions(m: int, P2: int, Q: int) -> Certificate:
     if m < 1:
         raise ValueError("m must be >= 1")
     coeffs = genus.l_coefficients(m)
-    sigma = coeffs.s_mm * P2 + coeffs.s_2m * Q
+    sigma = genus.l_signature(m, P2, Q)
     cond2 = _condition_coefficient(m, coeffs.s_m) * P2 - Fraction(Q, factorial(4 * m - 1))
     cond3 = Fraction(P2, factorial(2 * m - 1) ** 2)
     checks = [
@@ -237,6 +237,11 @@ def realization_search(m: int, sigma_min: int = 1) -> RealizationWitness:
 # -- the signature bound ---------------------------------------------------
 
 
+def _signature_bound(m: int, k: int) -> int:
+    # the lower bound 4m - 5 - 2*nu2(m) - floor(k/2) on nu2(2*sigma)
+    return 4 * m - 5 - 2 * nu2(m) - k // 2
+
+
 def signature_bound_verdict(m: int, k: int, sigma: int) -> Certificate:
     """Exclusion by the 2-adic signature bound on 8m-dimensional models.
 
@@ -251,8 +256,7 @@ def signature_bound_verdict(m: int, k: int, sigma: int) -> Certificate:
         raise ValueError(f"the bound applies only for 1 <= k < 2m, got k = {k}")
     if sigma == 0:
         raise ValueError("the bound needs a non-zero signature")
-    l = k // 2
-    bound = 4 * m - 5 - 2 * nu2(m) - l
+    bound = _signature_bound(m, k)
     value = nu2(2 * sigma)
     excluded = value < bound
     check = Check(
@@ -267,7 +271,7 @@ def signature_bound_verdict(m: int, k: int, sigma: int) -> Certificate:
         parameters={
             "m": m,
             "k": k,
-            "l": l,
+            "l": k // 2,
             "sigma": sigma,
             "dimension": 8 * m,
             "bound": bound,
@@ -290,7 +294,7 @@ def bound_exclusion_dimension(k: int) -> int:
         raise ValueError("k must be >= 1")
     m = 1
     while True:
-        if k < 2 * m and 4 * m - 5 - 2 * nu2(m) - k // 2 > 1:
+        if k < 2 * m and _signature_bound(m, k) > 1:
             return 8 * m
         m *= 2
 

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple, Union
 
 from . import certify, genus, mod2
 from .certificates import EXCLUDED, Certificate, Check, exact_to_json
@@ -126,108 +126,85 @@ _SERIES = {
 }
 
 
-def _cmd_genus(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_genus(args) -> Dict:
     if args.degree < 1:
         raise UsageError("genus: --degree must be >= 1")
     if args.degree > GENUS_MAX_DEGREE:
         raise UsageError(f"genus: --degree must be <= {GENUS_MAX_DEGREE}")
     series = _SERIES[args.series](args.degree)
     polys = genus.genus_polynomials(series, args.degree)
-    doc = {
+    return {
         "series": args.series,
         "degree": args.degree,
         "polynomials": {f"K{j + 1}": str(p) for j, p in enumerate(polys)},
     }
-    return doc, None
 
 
-def _cmd_s_coeffs(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_s_coeffs(args) -> Dict:
     coeffs = genus.l_coefficients(args.m)
-    doc = {
+    return {
         "m": args.m,
         "s_m": exact_to_json(coeffs.s_m),
         "s_mm": exact_to_json(coeffs.s_mm),
         "s_2m": exact_to_json(coeffs.s_2m),
     }
-    return doc, None
 
 
-def _cmd_realize(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_realize(args) -> Union[Certificate, Dict]:
     if (args.p2 is None) != (args.q is None):
         raise UsageError("realize: --p2 and --q must be given together")
     if args.p2 is not None:
-        cert = certify.realization_conditions(args.m, args.p2, args.q)
-        return cert.to_dict(), cert.verdict
+        return certify.realization_conditions(args.m, args.p2, args.q)
     witness = certify.realization_search(args.m, args.sigma_min)
     cert = certify.realization_conditions(args.m, witness.P2, witness.Q)
-    doc = {"witness": exact_to_json(witness.to_dict()), "certificate": cert.to_dict()}
-    return doc, cert.verdict
+    return {"witness": exact_to_json(witness.to_dict()), "certificate": cert.to_dict()}
 
 
-def _cmd_bound(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_bound(args) -> Union[Certificate, Dict]:
     if args.first_dim:
-        dimension = certify.bound_exclusion_dimension(args.k)
-        doc = {
+        return {
             "k": args.k,
-            "dimension": dimension,
+            "dimension": certify.bound_exclusion_dimension(args.k),
             "note": "first dimension where the odd-signature criterion excludes "
             "the structure; not the minimal non-spin^k dimension",
         }
-        return doc, None
     if args.m is None or args.sigma is None:
         raise UsageError("bound: supply --m and --sigma, or use --first-dim")
-    cert = certify.signature_bound_verdict(args.m, args.k, args.sigma)
-    return cert.to_dict(), cert.verdict
+    return certify.signature_bound_verdict(args.m, args.k, args.sigma)
 
 
-def _cmd_non_spinh8(args) -> Tuple[Dict, Optional[str]]:
-    cert = certify.nonspinh8_certificate(args.a)
-    return cert.to_dict(), cert.verdict
-
-
-def _cmd_wu_product(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_wu_product(args) -> Certificate:
     if args.model:
         model = load_model(args.model)
         if not isinstance(model, mod2.SpaceModel):
             raise UsageError("wu-product needs a space model, not an rhc model")
     else:
         model = mod2.wu_manifold()
-    cert = mod2.w5_verdict(mod2.kunneth(model, model))
-    return cert.to_dict(), cert.verdict
+    return mod2.w5_verdict(mod2.kunneth(model, model))
 
 
-def _cmd_pin_table(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_pin_table(args) -> Dict:
     if args.max_dim < 2:
         raise UsageError("pin-table: --max-dim must be >= 2")
     rows = [certify.guaranteed_structures(n).to_dict() for n in range(2, args.max_dim + 1)]
-    return {"rows": rows}, None
+    return {"rows": rows}
 
 
-def _cmd_mayer_check(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_mayer_check(args) -> Certificate:
     if args.model:
         model = load_model(args.model)
         if not isinstance(model, certify.RHCModel):
             raise UsageError("mayer-check needs an rhc model, not a space model")
+    elif args.m is None or args.p2 is None or args.q is None:
+        raise UsageError("mayer-check: supply --model, or --m with --p2 and --q")
     else:
-        if args.m is None or args.p2 is None or args.q is None:
-            raise UsageError("mayer-check: supply --model, or --m with --p2 and --q")
-        sigma = args.sigma
-        if sigma is None:
-            coeffs = genus.l_coefficients(args.m)
-            value = coeffs.s_mm * args.p2 + coeffs.s_2m * args.q
-            if value.denominator != 1:
-                raise UsageError(
-                    f"mayer-check: the L-evaluation gives the non-integer signature "
-                    f"{value}; these (P2, Q) fit no closed manifold"
-                )
-            sigma = int(value)
-        betti = args.betti if args.betti is not None else abs(sigma)
-        model = certify.RHCModel(args.m, betti, sigma, args.p2, args.q)
-    cert = genus.mayer_integrality_check(model, args.k)
-    return cert.to_dict(), cert.verdict
+        # sigma is the L-evaluation itself; mayer_integrality_check refuses a non-integer
+        sigma = genus.l_signature(args.m, args.p2, args.q)
+        model = certify.RHCModel(args.m, abs(sigma), sigma, args.p2, args.q)
+    return genus.mayer_integrality_check(model, args.k)
 
 
-def _cmd_w4_lift(args) -> Tuple[Dict, Optional[str]]:
+def _cmd_w4_lift(args) -> Dict:
     variant = args.variant.replace("-", "_")
     inputs = {"p1_M": args.p1_m, "p1_E": args.p1_e, "variant": variant, "euler_E": args.euler}
     try:
@@ -239,8 +216,8 @@ def _cmd_w4_lift(args) -> Tuple[Dict, Optional[str]]:
             checks=[Check("parity of the p1 difference", "odd", "even", "!=", True)],
             verdict=EXCLUDED,
         )
-        return {**cert.to_dict(), "error": str(err)}, cert.verdict
-    return {**inputs, "lift": lift, "lift_mod_2": lift % 2}, None
+        return {**cert.to_dict(), "error": str(err)}
+    return {**inputs, "lift": lift, "lift_mod_2": lift % 2}
 
 
 def build_parser() -> _Parser:
@@ -285,7 +262,7 @@ def build_parser() -> _Parser:
         "non-spinh8", parents=[common], help="dimension-8 exclusion certificate"
     )
     p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=_cmd_non_spinh8)
+    p.set_defaults(handler=lambda args: certify.nonspinh8_certificate(args.a))
 
     p = sub.add_parser(
         "wu-product", parents=[common], help="W5 verdict for a model times itself"
@@ -305,8 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
     p.add_argument("--p2", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--sigma", type=int)
-    p.add_argument("--betti", type=int)
     p.set_defaults(handler=_cmd_mayer_check)
 
     p = sub.add_parser("w4-lift", parents=[common], help="integral lift of w4")
@@ -333,12 +308,16 @@ def run(argv) -> Tuple[int, str]:
     except SystemExit as err:  # --help
         return (err.code or 0), ""
     try:
-        doc, verdict = args.handler(args)
+        doc = args.handler(args)
+        if isinstance(doc, Certificate):
+            doc = doc.to_dict()
     except UsageError as err:
         return 2, str(err)
     except (ModelError, ValueError) as err:
         return 2, f"spincert {args.command}: error: {err}"
     document = json.dumps(doc, indent=2) if args.json else render_text(doc)
+    # exit 1 exactly when the printed verdict, or a witness's certificate verdict, excludes
+    verdict = doc.get("verdict", doc.get("certificate", {}).get("verdict"))
     return (1 if verdict == EXCLUDED else 0), document
 
 

@@ -317,6 +317,12 @@ def l_coefficients(m: int) -> SCoefficients:
     return SCoefficients(*_sequence_triple(signature_series(2 * m), m))
 
 
+def l_signature(m: int, P2: int, Q: int) -> Fraction:
+    """The signature s_mm * P2 + s_2m * Q that the L-genus gives an 8m-model."""
+    coeffs = l_coefficients(m)
+    return coeffs.s_mm * P2 + coeffs.s_2m * Q
+
+
 def s2m_bernoulli(m: int) -> Fraction:
     """s_{2m} from the closed Bernoulli-number formula.
 
@@ -398,8 +404,21 @@ def mayer_integrality_check(model, k: int) -> Certificate:
     trivial, so the only content is that 2^l * integral(Ahat) and
     2^l * integral(e1^2 * Ahat) are integers, with l = floor(k/2).
     Failure of either excludes a spin^k structure on any closed manifold
-    realizing the model.
+    realizing the model.  The model's sigma must be the signature the
+    L-genus gives it; otherwise no closed manifold realizes the model and
+    the check refuses it with a ValueError.
     """
+    sigma = l_signature(model.m, model.P2, model.Q)
+    if sigma.denominator != 1:
+        raise ValueError(
+            f"the L-evaluation gives the non-integer signature {sigma}; "
+            "these (P2, Q) fit no closed manifold"
+        )
+    if sigma != model.sigma:
+        raise ValueError(
+            f"the L-evaluation gives the signature {sigma}, but the model "
+            f"declares sigma = {model.sigma}"
+        )
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= 2 * model.m:
@@ -435,6 +454,7 @@ def mayer_integrality_check(model, k: int) -> Certificate:
         "dimension": 8 * model.m,
         "P2": model.P2,
         "Q": model.Q,
+        "sigma": sigma,
         "integral(ahat)": values["ahat"],
         "integral(e1^2*ahat)": values["e1^2*ahat"],
         "orientable": True,

@@ -546,14 +546,6 @@ class F2Ring:
         exps = tuple(1 if i == index else 0 for i in range(len(self.gen_names)))
         return F2Poly(self, frozenset({exps}))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Ring)
-            and self.gen_names == other.gen_names
-            and self.gen_degrees == other.gen_degrees
-            and self.max_degree == other.max_degree
-        )
-
 
 @dataclass(frozen=True)
 class F2Poly:
@@ -572,31 +564,14 @@ class F2Poly:
                     acc ^= {m}
         return F2Poly(self.ring, frozenset(acc))
 
-    def __pow__(self, n: int) -> "F2Poly":
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def is_zero(self) -> bool:
         return not self.monos
-
-    def __str__(self) -> str:
-        if not self.monos:
-            return "0"
-        pieces = []
-        for mono in sorted(self.monos, key=lambda m: (self.ring.mono_degree(m), m)):
-            factors = [
-                name if exp == 1 else f"{name}^{exp}"
-                for name, exp in zip(self.ring.gen_names, mono)
-                if exp
-            ]
-            pieces.append("*".join(factors) if factors else "1")
-        return " + ".join(pieces)
 
 
 def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
     """Free SW algebra on w_1..w_k (deg w_i = i), truncated at degree k + 2."""
+    if k < 1:
+        raise ValueError("rank must be >= 1")
     gens = [(f"w{i}", i) for i in range(1, k + 1)]
     gens.extend((name, 1) for name in extra_degree1)
     return F2Ring(gens, k + 2)
@@ -671,24 +646,18 @@ def line_total(t: F2Poly) -> SymbolicSW:
 
 def tensor_with_det(k: int) -> SymbolicSW:
     """w(E ox det E) for a generic rank-k bundle, in the free SW algebra."""
-    if k < 1:
-        raise ValueError("rank must be >= 1")
     ring = sw_ring(k)
     return line_twist(generic_bundle(ring, k), ring.gen("w1"))
 
 
 def sum_with_det(k: int) -> SymbolicSW:
     """w(E + det E) = w(E) * (1 + w_1(E))."""
-    if k < 1:
-        raise ValueError("rank must be >= 1")
     ring = sw_ring(k)
     return whitney_sum(generic_bundle(ring, k), line_total(ring.gen("w1")))
 
 
 def twist_then_sum(k: int) -> SymbolicSW:
     """w((E ox det E) + det E)."""
-    if k < 1:
-        raise ValueError("rank must be >= 1")
     ring = sw_ring(k)
     twisted = line_twist(generic_bundle(ring, k), ring.gen("w1"))
     return whitney_sum(twisted, line_total(ring.gen("w1")))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,8 @@ from spincert.cli import load_model, run
 from spincert.exact import bernoulli, odd_part
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
+RHC8 = str(resources.files("spincert").joinpath("data/rhc8-a0.json"))
 
 
 def _json_leaves(value, acc):
@@ -33,25 +36,28 @@ def _json_leaves(value, acc):
     return acc
 
 
+GOLDEN_RUNS = [
+    ("non-spinh8-a0.json", ["non-spinh8", "--a", "0", "--json"], 1),
+    ("non-spinh8-a0.txt", ["non-spinh8", "--a", "0"], 1),
+    ("wu-product.json", ["wu-product", "--json"], 1),
+    ("bound-m4-k7.json", ["bound", "--m", "4", "--k", "7", "--sigma", "1", "--json"], 1),
+    ("pin-table.json", ["pin-table", "--max-dim", "7", "--json"], 0),
+    ("realize-m1.json", ["realize", "--m", "1", "--json"], 0),
+    ("genus-L-12.txt", ["genus", "--series", "L", "--degree", "12"], 0),
+    ("genus-ahat-12.json", ["genus", "--series", "ahat", "--degree", "12", "--json"], 0),
+    ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
+    ("mayer-check-rhc8-a0.json", ["mayer-check", "--model", RHC8, "--k", "1", "--json"], 1),
+]
+
+
+def _readme_examples():
+    """argv of every example in the README's subcommand table."""
+    rows = [line.split("|")[3] for line in README.read_text().splitlines() if line.startswith("| `")]
+    return [example.split() for row in rows for example in re.findall(r"`spincert ([^`]+)`", row)]
+
+
 class TestGoldenFiles:
-    @pytest.mark.parametrize(
-        "name, argv, code",
-        [
-            ("non-spinh8-a0.json", ["non-spinh8", "--a", "0", "--json"], 1),
-            ("non-spinh8-a0.txt", ["non-spinh8", "--a", "0"], 1),
-            ("wu-product.json", ["wu-product", "--json"], 1),
-            ("bound-m4-k7.json", ["bound", "--m", "4", "--k", "7", "--sigma", "1", "--json"], 1),
-            ("pin-table.json", ["pin-table", "--max-dim", "7", "--json"], 0),
-            ("realize-m1.json", ["realize", "--m", "1", "--json"], 0),
-            ("genus-L-12.txt", ["genus", "--series", "L", "--degree", "12"], 0),
-            (
-                "genus-ahat-12.json",
-                ["genus", "--series", "ahat", "--degree", "12", "--json"],
-                0,
-            ),
-            ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
-        ],
-    )
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_RUNS)
     def test_byte_for_byte(self, name, argv, code):
         got_code, document = run(argv)
         assert got_code == code
@@ -353,6 +359,34 @@ class TestMayerCheckFlags:
         assert code == 2
         assert "signature" in document
 
+    def test_sigma_flag_is_gone(self):
+        # sigma = 5 does not fit (57600, 8235), whose L-evaluation gives 1
+        argv = ["mayer-check", "--m", "1", "--k", "1", "--p2", "57600", "--q", "8235"]
+        assert run(argv + ["--sigma", "5"])[0] == 2
+        assert run(argv + ["--betti", "5"])[0] == 2
+
+    def test_help_lists_no_sigma_or_betti(self, capsys):
+        assert run(["mayer-check", "--help"]) == (0, "")
+        out = capsys.readouterr().out
+        assert "--p2" in out and "--sigma" not in out and "--betti" not in out
+
+    def test_model_sigma_must_match_l_evaluation(self, tmp_path):
+        path = tmp_path / "rhc.json"
+        path.write_text(json.dumps({"m": 1, "middle_betti": 5, "sigma": 5, "P2": 57600, "Q": 8235}))
+        code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
+        assert code == 2
+        assert document == (
+            "spincert mayer-check: error: the L-evaluation gives the signature 1, "
+            "but the model declares sigma = 5"
+        )
+
+    def test_model_with_non_integer_signature(self, tmp_path):
+        path = tmp_path / "rhc.json"
+        path.write_text(json.dumps({"m": 1, "middle_betti": 1, "sigma": 0, "P2": 1, "Q": 1}))
+        code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
+        assert code == 2
+        assert "non-integer signature 2/15" in document
+
 
 class TestWitnessSearchFlags:
     def test_sigma_min_of_a_billion(self):
@@ -411,11 +445,12 @@ SUBCOMMANDS = st.one_of(
         st.integers(-3, 7).map(lambda m: ["--m", str(m)]),
         _flags(**{"--sigma-min": st.integers(-(10**40), 10**40)}),
     ),
+    # without --p2 and --q this is a witness search, so m >= 8 needs a flag
     st.tuples(
         st.just(["realize"]),
         st.integers(-3, 16).map(lambda m: ["--m", str(m)]),
         _flags(**{"--p2": INTS, "--q": INTS}),
-    ),
+    ).filter(lambda parts: parts[2] or int(parts[1][1]) < 8),
     st.tuples(
         st.just(["bound"]),
         RANKS.map(lambda k: ["--k", str(k)]),
@@ -434,8 +469,6 @@ SUBCOMMANDS = st.one_of(
                 "--m": st.integers(-3, 16),
                 "--p2": INTS,
                 "--q": INTS,
-                "--sigma": INTS,
-                "--betti": INTS,
             }
         ),
     ),
@@ -463,3 +496,12 @@ class TestArgvProperties:
             doc = json.loads(document)
             verdict = doc.get("verdict", doc.get("certificate", {}).get("verdict"))
             assert (code == 1) == (verdict == "excluded")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for _, argv, _ in GOLDEN_RUNS] + _readme_examples(),
+        ids=lambda argv: " ".join(argv).replace(RHC8, "rhc8-a0.json"),
+    )
+    def test_text_and_json_exit_alike(self, argv):
+        text_argv = [word for word in argv if word != "--json"]
+        assert run(text_argv)[0] == run(text_argv + ["--json"])[0]

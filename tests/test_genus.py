@@ -355,12 +355,16 @@ class TestRHCIntegrals:
     @given(
         m=st.integers(1, 4),
         data=st.data(),
-        P2=st.integers(-(10**40), 10**40),
-        Q=st.integers(-(10**40), 10**40),
+        x=st.integers(-(10**40), 10**40),
+        y=st.integers(-(10**40), 10**40),
     )
-    def test_mayer_values_match_expansion(self, m, data, P2, Q):
+    def test_mayer_values_match_expansion(self, m, data, x, y):
+        # lattice multiples, so the L-evaluation gives an integral signature
         k = data.draw(st.integers(1, 2 * m - 1), label="k")
-        model = certify.RHCModel(m=m, middle_betti=0, sigma=0, P2=P2, Q=Q)
+        coeffs = genus.l_coefficients(m)
+        P2, Q = x * coeffs.s_mm.denominator, y * coeffs.s_2m.denominator
+        sigma = int(coeffs.s_mm * P2 + coeffs.s_2m * Q)
+        model = certify.RHCModel(m=m, middle_betti=abs(sigma), sigma=sigma, P2=P2, Q=Q)
         values = genus.mayer_integrality_check(model, k).parameters
         for tag, power in (("ahat", 0), ("e1^2*ahat", 2)):
             a, b = _twist_coeffs_by_expansion(m, power)
@@ -435,6 +439,28 @@ class TestMayerIntegrality:
             genus.mayer_integrality_check(model, 3)
         with pytest.raises(ValueError):
             genus.mayer_integrality_check(model, 2)
+
+    def test_signature_is_a_parameter_not_a_check(self):
+        cert = genus.mayer_integrality_check(certify.RHCModel(2, 1, 1, 36, 39), 1)
+        assert cert.parameters["sigma"] == 1
+        assert [c.name for c in cert.checks] == ["2^0 * integral(ahat)", "2^0 * integral(e1^2*ahat)"]
+
+    def test_declared_signature_must_match(self):
+        # the L-evaluation gives 1 on (57600, 8235), so sigma = 5 fits no manifold
+        with pytest.raises(ValueError, match="gives the signature 1, .* sigma = 5"):
+            genus.mayer_integrality_check(certify.RHCModel(1, 5, 5, 57600, 8235), 1)
+
+    def test_non_integer_signature_refused(self):
+        with pytest.raises(ValueError, match="non-integer signature 2/15"):
+            genus.mayer_integrality_check(certify.RHCModel(1, 1, 0, 1, 1), 1)
+
+
+class TestLSignature:
+    def test_projective_planes(self):
+        # HP^2 and OP^2 have signature 1; (1, 1) fits no closed 8-manifold
+        assert genus.l_signature(1, 4, 7) == 1
+        assert genus.l_signature(2, 36, 39) == 1
+        assert genus.l_signature(1, 1, 1) == Fraction(2, 15)
 
 
 class TestDim8Integrand:
