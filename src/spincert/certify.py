@@ -71,15 +71,6 @@ class RHCModel:
     def dimension(self) -> int:
         return 8 * self.m
 
-    def to_dict(self) -> Dict:
-        return {
-            "m": self.m,
-            "middle_betti": self.middle_betti,
-            "sigma": self.sigma,
-            "P2": self.P2,
-            "Q": self.Q,
-        }
-
 
 @dataclass(frozen=True)
 class RealizationWitness:

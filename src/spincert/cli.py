@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}\n{self.format_usage().rstrip()}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's leftovers up to the top-level parser;
+        # refusing them here reports them with the subcommand's own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def load_model(path: str):
     """Load a space model or an rhc model from a JSON document."""

@@ -148,9 +148,6 @@ class CharacteristicSeries:
     def max_degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
 
 def _series_mul(a: List[Fraction], b: List[Fraction], n: int) -> List[Fraction]:
     out = [Fraction(0)] * (n + 1)

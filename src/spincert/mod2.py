@@ -21,7 +21,11 @@ from .certify import RHCModel
 
 
 class AlgebraError(ValueError):
-    pass
+    """An invalid algebra; ``field`` names the document field at fault."""
+
+    def __init__(self, message: str, field: str = "products"):
+        super().__init__(message)
+        self.field = field
 
 
 class ModelError(ValueError):
@@ -106,16 +110,16 @@ class F2Algebra:
 
     # -- elements ------------------------------------------------------
 
-    def element(self, names: Iterable[str] = ()) -> "F2Element":
+    def mask(self, names: Iterable[str]) -> int:
         mask = 0
         for name in names:
             if name not in self._index:
                 raise AlgebraError(f"unknown basis element {name!r}")
             mask |= 1 << self._index[name]
-        return F2Element(self, mask)
+        return mask
 
-    def zero(self) -> "F2Element":
-        return self.element()
+    def element(self, names: Iterable[str]) -> "F2Element":
+        return F2Element(self, self.mask(names))
 
     def one(self) -> "F2Element":
         return self.element([self.unit])
@@ -154,14 +158,14 @@ def _basis_index(basis: Sequence[Tuple[str, int]], unit: str) -> Dict[str, int]:
     index: Dict[str, int] = {}
     for name, degree in basis:
         if name in index:
-            raise AlgebraError(f"duplicate basis element {name!r}")
+            raise AlgebraError(f"duplicate basis element {name!r}", "basis")
         if degree < 0:
-            raise AlgebraError(f"negative degree for {name!r}")
+            raise AlgebraError(f"negative degree for {name!r}", "basis")
         index[name] = len(index)
     if unit not in index:
-        raise AlgebraError(f"unit {unit!r} is not a basis element")
+        raise AlgebraError(f"unit {unit!r} is not a basis element", "unit")
     if basis[index[unit]][1] != 0:
-        raise AlgebraError(f"unit {unit!r} must have degree 0")
+        raise AlgebraError(f"unit {unit!r} must have degree 0", "unit")
     return index
 
 
@@ -174,16 +178,9 @@ class F2Element:
     def support(self) -> FrozenSet[str]:
         return frozenset(self.algebra.names[i] for i in _bits(self.mask))
 
-    def _check_compatible(self, other: "F2Element") -> None:
+    def __mul__(self, other: "F2Element") -> "F2Element":
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraError("elements belong to different algebras")
-
-    def __add__(self, other: "F2Element") -> "F2Element":
-        self._check_compatible(other)
-        return F2Element(self.algebra, self.mask ^ other.mask)
-
-    def __mul__(self, other: "F2Element") -> "F2Element":
-        self._check_compatible(other)
         return F2Element(self.algebra, self.algebra.product(self.mask, other.mask))
 
     def is_zero(self) -> bool:
@@ -227,41 +224,6 @@ def build_algebra(
     for (i, j), mask in table.items():
         mul[i][j] = mask
     return F2Algebra(basis, mul, unit)
-
-
-# -- total Stiefel-Whitney classes over a finite algebra -----------------
-
-
-class SWTotal:
-    """Total SW class 1 + w_1 + w_2 + ... with components in an F2Algebra."""
-
-    def __init__(self, algebra: F2Algebra, components: Mapping[int, F2Element]):
-        self.algebra = algebra
-        self.components: Dict[int, F2Element] = {}
-        for degree, element in components.items():
-            if element.is_zero():
-                continue
-            if degree < 1:
-                raise ModelError("positive-degree components only; w_0 is implicit")
-            for i in _bits(element.mask):
-                if algebra.degrees[i] != degree:
-                    raise ModelError(
-                        f"sw component in degree {degree} contains {algebra.names[i]!r} "
-                        f"of degree {algebra.degrees[i]}"
-                    )
-            self.components[degree] = element
-
-    def component(self, degree: int) -> F2Element:
-        if degree == 0:
-            return self.algebra.one()
-        return self.components.get(degree, self.algebra.zero())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SWTotal)
-            and self.algebra == other.algebra
-            and self.components == other.components
-        )
 
 
 # -- declared integral cohomology ----------------------------------------
@@ -319,18 +281,32 @@ class IntProfile:
 
 
 class SpaceModel:
-    """Mod-2 cohomology ring, tangent SW class and declared integral data."""
+    """Mod-2 cohomology ring, tangent SW class and declared integral data.
+
+    ``sw`` maps each degree d > 0 with w_d != 0 to the mask of w_d.
+    """
 
     def __init__(
         self,
         name: str,
         algebra: F2Algebra,
-        tangent_sw: SWTotal,
+        sw: Mapping[int, int],
         int_profile: IntProfile,
         dimension: int,
     ):
-        if tangent_sw.algebra != algebra:
-            raise ModelError("tangent SW class lives in a different algebra")
+        self.sw: Dict[int, int] = {}
+        for degree, mask in sw.items():
+            if not mask:
+                continue
+            if degree < 1:
+                raise ModelError("positive-degree components only; w_0 is implicit")
+            for i in _bits(mask):
+                if algebra.degrees[i] != degree:
+                    raise ModelError(
+                        f"sw component in degree {degree} contains {algebra.names[i]!r} "
+                        f"of degree {algebra.degrees[i]}"
+                    )
+            self.sw[degree] = mask
         # a closed n-manifold has H^n(M; F2) != 0 and nothing above degree n
         if algebra.top_degree != dimension:
             raise ModelError(
@@ -353,12 +329,13 @@ class SpaceModel:
                 )
         self.name = name
         self.algebra = algebra
-        self.tangent_sw = tangent_sw
         self.int_profile = int_profile
         self.dimension = dimension
 
     def w(self, degree: int) -> F2Element:
-        return self.tangent_sw.component(degree)
+        if degree == 0:
+            return self.algebra.one()
+        return F2Element(self.algebra, self.sw.get(degree, 0))
 
     def mod2_betti(self) -> Tuple[int, ...]:
         return tuple(self.algebra.dim(d) for d in range(self.dimension + 1))
@@ -369,7 +346,7 @@ class SpaceModel:
             and self.name == other.name
             and self.dimension == other.dimension
             and self.algebra == other.algebra
-            and self.tangent_sw == other.tangent_sw
+            and self.sw == other.sw
             and self.int_profile == other.int_profile
         )
 
@@ -389,9 +366,7 @@ def wu_manifold() -> SpaceModel:
     return SpaceModel(
         name="wu-manifold",
         algebra=algebra,
-        tangent_sw=SWTotal(
-            algebra, {2: algebra.element(["z2"]), 3: algebra.element(["z3"])}
-        ),
+        sw={2: algebra.mask(["z2"]), 3: algebra.mask(["z3"])},
         int_profile=IntProfile.from_mapping({0: (1, ()), 3: (0, (2,)), 5: (1, ())}),
         dimension=5,
     )
@@ -402,7 +377,7 @@ def point_model() -> SpaceModel:
     return SpaceModel(
         name="point",
         algebra=algebra,
-        tangent_sw=SWTotal(algebra, {}),
+        sw={},
         int_profile=IntProfile.from_mapping({0: (1, ())}),
         dimension=0,
     )
@@ -415,7 +390,7 @@ def sphere_model(n: int) -> SpaceModel:
     return SpaceModel(
         name=f"sphere-{n}",
         algebra=algebra,
-        tangent_sw=SWTotal(algebra, {}),
+        sw={},
         int_profile=IntProfile.from_mapping({0: (1, ()), n: (1, ())}),
         dimension=n,
     )
@@ -450,9 +425,9 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
 
     # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
     sw: Dict[int, int] = {}
-    for i in (0, *a.tangent_sw.components):
-        for j in (0, *b.tangent_sw.components):
-            sw[i + j] = sw.get(i + j, 0) ^ _tensor(a.w(i).mask, b.w(j).mask, width)
+    for i, x in ((0, left.mask([left.unit])), *a.sw.items()):
+        for j, y in ((0, right.mask([right.unit])), *b.sw.items()):
+            sw[i + j] = sw.get(i + j, 0) ^ _tensor(x, y, width)
     del sw[0]
 
     free: Counter = Counter()
@@ -469,7 +444,7 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     return SpaceModel(
         name=f"{a.name} x {b.name}",
         algebra=algebra,
-        tangent_sw=SWTotal(algebra, {d: F2Element(algebra, mask) for d, mask in sw.items()}),
+        sw=sw,
         int_profile=IntProfile.from_mapping(profile),
         dimension=a.dimension + b.dimension,
     )
@@ -668,16 +643,14 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 def space_model_to_dict(model: SpaceModel) -> Dict:
     algebra = model.algebra
-    non_unit = [i for i, name in enumerate(algebra.names) if name != algebra.unit]
+    names = algebra.names
+    non_unit = [i for i, name in enumerate(names) if name != algebra.unit]
     products = []
     for k, i in enumerate(non_unit):
         for j in non_unit[k:]:
-            result = F2Element(algebra, algebra.mul[i][j]).support
-            products.append([algebra.names[i], algebra.names[j], sorted(result)])
-    sw = {
-        str(d): sorted(model.tangent_sw.components[d].support)
-        for d in sorted(model.tangent_sw.components)
-    }
+            result = sorted(names[b] for b in _bits(algebra.mul[i][j]))
+            products.append([names[i], names[j], result])
+    sw = {str(d): sorted(names[b] for b in _bits(model.sw[d])) for d in sorted(model.sw)}
     profile = {
         str(d): {"free": free, "torsion": list(tors)}
         for d, (free, tors) in model.int_profile.groups.items()
@@ -753,15 +726,15 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     try:
         algebra = build_algebra(basis, products, unit)
     except AlgebraError as err:
-        raise ModelError(f"field 'products': {err}") from err
+        raise ModelError(f"field {err.field!r}: {err}") from err
 
-    sw_components = {}
+    sw = {}
     for key, names in _require(doc, "sw", dict).items():
         degree = _degree_key("sw", key)
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ModelError(f"field 'sw[{key}]': expected a list of basis names")
         try:
-            sw_components[degree] = algebra.element(names)
+            sw[degree] = algebra.mask(names)
         except AlgebraError as err:
             raise ModelError(f"field 'sw[{key}]': {err}") from err
 
@@ -781,7 +754,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
             raise ModelError("field 'int_profile[0]': H^0 is free, so its torsion must be empty")
         profile_data[degree] = (entry["free"], entry["torsion"])
     profile = IntProfile.from_mapping(profile_data)
-    return SpaceModel(name, algebra, SWTotal(algebra, sw_components), profile, dimension)
+    return SpaceModel(name, algebra, sw, profile, dimension)
 
 
 def rhc_model_from_dict(doc: Mapping) -> RHCModel:

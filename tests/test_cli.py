@@ -143,6 +143,38 @@ class TestExitCodes:
         assert code == 2
         assert "--a" in document
 
+    @pytest.mark.parametrize(
+        "argv, message, usage",
+        [
+            (
+                ["mayer-check", "--k", "1", "--sigma", "5"],
+                "spincert mayer-check: error: unrecognized arguments: --sigma 5",
+                "usage: spincert mayer-check [-h] [--json]",
+            ),
+            (
+                ["non-spinh8", "--a", "0", "--unknown"],
+                "spincert non-spinh8: error: unrecognized arguments: --unknown",
+                "usage: spincert non-spinh8 [-h] [--json]",
+            ),
+            (
+                ["wu-product", "--json", "extra"],
+                "spincert wu-product: error: unrecognized arguments: extra",
+                "usage: spincert wu-product [-h] [--json]",
+            ),
+            # errors of the command line as a whole keep the top-level usage
+            ([], "spincert: error: ", "usage: spincert [-h]"),
+            (["no-such-command"], "spincert: error: ", "usage: spincert [-h]"),
+            (["--unknown", "pin-table"], "spincert: error: ", "usage: spincert [-h]"),
+        ],
+        ids=["mayer-check", "non-spinh8", "wu-product", "empty", "unknown-command", "root-flag"],
+    )
+    def test_usage_error_names_its_parser(self, argv, message, usage):
+        code, document = run(argv)
+        assert code == 2
+        first, second = document.split("\n")[:2]
+        assert first.startswith(message)
+        assert second.startswith(usage)
+
 
 class TestDocuments:
     def test_s_coeffs_text(self):
@@ -300,16 +332,58 @@ class TestModelLoading:
         assert "associative" in document and "(" in document
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, fragment",
         [
-            lambda doc: doc["sw"].update({"2": [["z2"]]}),
-            lambda doc: doc["products"][0].__setitem__(2, [["z5"]]),
-            lambda doc: doc["sw"].update({"+3": doc["sw"].pop("3")}),
-            lambda doc: doc.update(dimension=1000),
+            (lambda doc: doc["sw"].update({"2": [["z2"]]}), "field 'sw[2]'"),
+            (lambda doc: doc["products"][0].__setitem__(2, [["z5"]]), "field 'products[0]'"),
+            (
+                lambda doc: doc["sw"].update({"+3": doc["sw"].pop("3")}),
+                "degree key '+3' is not a canonical integer",
+            ),
+            (lambda doc: doc.update(dimension=1000), "differs from the dimension 1000"),
+            (
+                lambda doc: doc["basis"].append(["z2", 2]),
+                "field 'basis': duplicate basis element 'z2'",
+            ),
+            (
+                lambda doc: doc["basis"][1].__setitem__(1, -2),
+                "field 'basis': negative degree for 'z2'",
+            ),
+            (lambda doc: doc.update(unit="u"), "field 'unit': unit 'u' is not a basis element"),
+            (lambda doc: doc.update(unit="z2"), "field 'unit': unit 'z2' must have degree 0"),
+            (
+                lambda doc: doc["products"][0].__setitem__(2, ["zz"]),
+                "field 'products': product table mentions unknown element 'zz'",
+            ),
+            (
+                lambda doc: doc["products"].append(["z2", "z3", []]),
+                "field 'products[6]': duplicate pair ('z2', 'z3')",
+            ),
+            (
+                lambda doc: doc["sw"].update({"2": ["z3"]}),
+                "sw component in degree 2 contains 'z3' of degree 3",
+            ),
+            (
+                lambda doc: doc["int_profile"].update({"7": {"free": 1, "torsion": []}}),
+                "integral data above the dimension, in degree 7",
+            ),
         ],
-        ids=["sw-nested-list", "products-nested-list", "degree-key-plus", "dimension-1000"],
+        ids=[
+            "sw-nested-list",
+            "products-nested-list",
+            "degree-key-plus",
+            "dimension-1000",
+            "basis-duplicate",
+            "basis-negative-degree",
+            "unit-not-in-basis",
+            "unit-nonzero-degree",
+            "products-unknown-element",
+            "products-duplicate-pair",
+            "sw-wrong-degree",
+            "int-profile-above-dimension",
+        ],
     )
-    def test_malformed_model_exit_two(self, tmp_path, edit):
+    def test_malformed_model_exit_two(self, tmp_path, edit, fragment):
         doc = json.loads(mod2.space_model_to_json(mod2.wu_manifold()))
         edit(doc)
         path = tmp_path / "broken.json"
@@ -317,6 +391,40 @@ class TestModelLoading:
         code, document = run(["wu-product", "--model", str(path)])
         assert code == 2
         assert document.startswith("spincert wu-product: error:")
+        assert fragment in document
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"m": 0}, "m must be >= 1"),
+            ({"middle_betti": -1}, "middle Betti number must be >= 0"),
+            ({"middle_betti": 0}, "|sigma| = 1 exceeds the middle Betti number 0"),
+        ],
+        ids=["m-zero", "betti-negative", "sigma-above-betti"],
+    )
+    def test_malformed_rhc_model_exit_two(self, tmp_path, fields, message):
+        doc = {**json.loads(Path(RHC8).read_text()), **fields}
+        path = tmp_path / "rhc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
+        assert code == 2
+        assert document == f"spincert mayer-check: error: {message}"
+
+    @pytest.mark.parametrize("command", [["wu-product"], ["mayer-check", "--k", "1"]])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "model document must be a JSON object"),
+            ({"name": "x"}, "unrecognized model document: expected 'basis' (space model) or 'P2'"),
+        ],
+        ids=["array", "neither-basis-nor-p2"],
+    )
+    def test_unrecognized_document_exit_two(self, tmp_path, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run([*command, "--model", str(path)])
+        assert code == 2
+        assert document.startswith(f"spincert {command[0]}: error: {message}")
 
     def test_invalid_json_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"

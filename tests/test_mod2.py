@@ -13,7 +13,6 @@ from spincert.mod2 import (
     AlgebraError,
     IntProfile,
     ModelError,
-    SWTotal,
     build_algebra,
     kunneth,
     point_model,
@@ -40,7 +39,7 @@ def projective_space(n, gen_degree):
         },
     )
     sw = {
-        gen_degree * i: algebra.element([names[i]])
+        gen_degree * i: algebra.mask([names[i]])
         for i in range(1, n + 1)
         if comb(n + 1, i) % 2
     }
@@ -53,7 +52,7 @@ def projective_space(n, gen_degree):
     return mod2.SpaceModel(
         f"{'RP' if gen_degree == 1 else 'CP'}{n}",
         algebra,
-        SWTotal(algebra, sw),
+        sw,
         IntProfile.from_mapping(profile),
         gen_degree * n,
     )
@@ -90,8 +89,8 @@ def random_model(rng, name):
     sw = {}
     for degree in range(1, dimension + 1):
         names = [n for n, d in basis if d == degree and rng.random() < 0.5]
-        sw[degree] = algebra.element(names)
-    return mod2.SpaceModel(name, algebra, SWTotal(algebra, sw), profile, dimension)
+        sw[degree] = algebra.mask(names)
+    return mod2.SpaceModel(name, algebra, sw, profile, dimension)
 
 
 def dense_kunneth_sw_and_profile(a, b):
@@ -193,7 +192,7 @@ class TestWuManifold:
         wu = wu_manifold()
         bad_profile = IntProfile.from_mapping({0: (1, ()), 5: (1, ())})
         with pytest.raises(ModelError, match="degree 2"):
-            mod2.SpaceModel("bad", wu.algebra, wu.tangent_sw, bad_profile, 5)
+            mod2.SpaceModel("bad", wu.algebra, wu.sw, bad_profile, 5)
 
     @pytest.mark.parametrize(
         "data, degree",
@@ -209,7 +208,7 @@ class TestWuManifold:
         wu = wu_manifold()
         profile = IntProfile.from_mapping(data)
         with pytest.raises(ModelError, match=f"mismatch in degree {degree}:"):
-            mod2.SpaceModel("bad", wu.algebra, wu.tangent_sw, profile, 5)
+            mod2.SpaceModel("bad", wu.algebra, wu.sw, profile, 5)
 
 
 class TestKunneth:
@@ -287,7 +286,7 @@ class TestKunneth:
         for a, b in zip(models, models[1:]):
             product = kunneth(a, b)
             sw, profile = dense_kunneth_sw_and_profile(a, b)
-            assert {d: w.mask for d, w in product.tangent_sw.components.items()} == sw
+            assert product.sw == sw
             assert product.int_profile == profile
             for i, (_, ta) in a.int_profile.groups.items():
                 for j, (fb, tb) in b.int_profile.groups.items():
@@ -315,7 +314,7 @@ class TestW4Lift:
         model = mod2.SpaceModel(
             "synthetic-8",
             algebra,
-            SWTotal(algebra, {4: algebra.element(["x4"])}),
+            {4: algebra.mask(["x4"])},
             IntProfile.from_mapping({0: (1, ()), 4: (1, ()), 8: (1, ())}),
             8,
         )
@@ -348,7 +347,7 @@ class TestW5Verdict:
         model = mod2.SpaceModel(
             "synthetic-5",
             algebra,
-            SWTotal(algebra, {1: algebra.element(["a1"]), 4: algebra.element(["b4"])}),
+            {1: algebra.mask(["a1"]), 4: algebra.mask(["b4"])},
             IntProfile.from_mapping({0: (1, ()), 2: (0, (2,)), 5: (0, (2,))}),
             5,
         )
