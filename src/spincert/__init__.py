@@ -1,83 +1,3 @@
 """Exact characteristic-class arithmetic and certificates for spin^k structures."""
 
-from .certificates import (
-    Certificate,
-    CertificateError,
-    Check,
-    ESTABLISHED,
-    EXCLUDED,
-    INCONCLUSIVE,
-    pin_label,
-    spin_label,
-)
-from .exact import (
-    INFINITE_VALUATION,
-    alpha,
-    bernoulli,
-    bernoulli_table,
-    four_squares,
-    is_dyadic,
-    is_quadratic_residue,
-    nu2,
-    nu2_factorial,
-    nu2_or_infinite,
-    quadratic_residues,
-)
-from .genus import (
-    CharacteristicSeries,
-    PontryaginPolynomial,
-    SCoefficients,
-    ahat_rhc_coeffs,
-    ahat_series,
-    genus_polynomials,
-    l_coefficients,
-    l_signature,
-    mayer_indicator_4d,
-    mayer_integrality_check,
-    mayer_series,
-    s2m_bernoulli,
-    signature_series,
-    spinh_integrand_dim8,
-    twist_class_e1,
-)
-from .mod2 import (
-    AlgebraError,
-    F2Algebra,
-    F2Element,
-    IntProfile,
-    ModelError,
-    SpaceModel,
-    SymbolicSW,
-    build_algebra,
-    kunneth,
-    point_model,
-    sphere_model,
-    sum_with_det,
-    tensor_with_det,
-    twist_then_sum,
-    w4_integral_lift_exists,
-    w5_verdict,
-    wu_manifold,
-)
-from .certify import (
-    FOUR_MANIFOLD_DATA,
-    GuaranteeRow,
-    InconsistentLiftError,
-    RHCModel,
-    RealizationWitness,
-    bound_exclusion_dimension,
-    connected_sum_combinator,
-    guaranteed_structures,
-    klein_product_pin_obstruction,
-    nonspinh8_certificate,
-    poincare_witness,
-    product_combinator,
-    product_factor_combinator,
-    realization_conditions,
-    realization_search,
-    signature_bound_verdict,
-    structure_certificate,
-    w4_lift,
-)
-
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from typing import Dict, Tuple, Union
 
 from . import certify, genus, mod2
 from .certificates import EXCLUDED, Certificate, Check, exact_to_json
-from .mod2 import ModelError
 
 
 class UsageError(Exception):
@@ -41,21 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 def load_model(path: str):
     """Load a space model or an rhc model from a JSON document."""
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ModelError(f"cannot read model file {path!r}: {err}") from err
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ModelError(f"model file {path!r} is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
+    doc = mod2.read_document(Path(path))
     if "basis" in doc:
         return mod2.space_model_from_dict(doc)
     if "P2" in doc:
         return mod2.rhc_model_from_dict(doc)
-    raise ModelError(
+    raise mod2.ModelError(
         "unrecognized model document: expected 'basis' (space model) or 'P2' (rhc model)"
     )
 
@@ -158,18 +148,27 @@ def _cmd_s_coeffs(args) -> Dict:
     }
 
 
+def _refuse_mixed(args, mode: str, *flags: str) -> None:
+    """Refuse flags of the other mode, which a run in ``mode`` would ignore."""
+    given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise UsageError(f"{args.command}: {', '.join(given)} cannot be combined with {mode}")
+
+
 def _cmd_realize(args) -> Union[Certificate, Dict]:
     if (args.p2 is None) != (args.q is None):
         raise UsageError("realize: --p2 and --q must be given together")
     if args.p2 is not None:
+        _refuse_mixed(args, "--p2 and --q", "sigma_min")
         return certify.realization_conditions(args.m, args.p2, args.q)
-    witness = certify.realization_search(args.m, args.sigma_min)
+    witness = certify.realization_search(args.m, 1 if args.sigma_min is None else args.sigma_min)
     cert = certify.realization_conditions(args.m, witness.P2, witness.Q)
     return {"witness": exact_to_json(witness.to_dict()), "certificate": cert.to_dict()}
 
 
 def _cmd_bound(args) -> Union[Certificate, Dict]:
     if args.first_dim:
+        _refuse_mixed(args, "--first-dim", "m", "sigma")
         return {
             "k": args.k,
             "dimension": certify.bound_exclusion_dimension(args.k),
@@ -200,6 +199,7 @@ def _cmd_pin_table(args) -> Dict:
 
 def _cmd_mayer_check(args) -> Certificate:
     if args.model:
+        _refuse_mixed(args, "--model", "m", "p2", "q")
         model = load_model(args.model)
         if not isinstance(model, certify.RHCModel):
             raise UsageError("mayer-check needs an rhc model, not a space model")
@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p2", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--sigma-min", type=int, default=1)
+    p.add_argument("--sigma-min", type=int)
     p.set_defaults(handler=_cmd_realize)
 
     p = sub.add_parser("bound", parents=[common], help="2-adic signature-bound verdict")
@@ -321,7 +321,7 @@ def run(argv) -> Tuple[int, str]:
             doc = doc.to_dict()
     except UsageError as err:
         return 2, str(err)
-    except (ModelError, ValueError) as err:
+    except ValueError as err:  # ModelError included
         return 2, f"spincert {args.command}: error: {err}"
     document = json.dumps(doc, indent=2) if args.json else render_text(doc)
     # exit 1 exactly when the printed verdict, or a witness's certificate verdict, excludes

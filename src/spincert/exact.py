@@ -12,21 +12,6 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import List, Set, Tuple
 
-__all__ = [
-    "INFINITE_VALUATION",
-    "nu2",
-    "nu2_or_infinite",
-    "nu2_factorial",
-    "is_dyadic",
-    "bernoulli",
-    "bernoulli_table",
-    "alpha",
-    "quadratic_residues",
-    "is_quadratic_residue",
-    "four_squares",
-    "odd_part",
-]
-
 
 class _InfiniteValuation:
     """Marker for the 2-adic valuation of zero.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from importlib import resources
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
@@ -352,24 +353,14 @@ class SpaceModel:
 
 
 def wu_manifold() -> SpaceModel:
-    """The five-dimensional homogeneous space SU(3)/SO(3) as a model.
+    """The five-dimensional homogeneous space SU(3)/SO(3), read from ``data/wu.json``.
 
     Mod-2 cohomology has basis 1, z2, z3, z5 with z2*z3 = z5 and
     z2^2 = 0; the tangent SW class is 1 + z2 + z3; integrally there is a
     single order-2 class in degree 3 besides the free parts in degrees 0
     and 5.
     """
-    algebra = build_algebra(
-        basis=[("1", 0), ("z2", 2), ("z3", 3), ("z5", 5)],
-        products={("z2", "z2"): [], ("z2", "z3"): ["z5"]},
-    )
-    return SpaceModel(
-        name="wu-manifold",
-        algebra=algebra,
-        sw={2: algebra.mask(["z2"]), 3: algebra.mask(["z3"])},
-        int_profile=IntProfile.from_mapping({0: (1, ()), 3: (0, (2,)), 5: (1, ())}),
-        dimension=5,
-    )
+    return space_model_from_dict(read_document(resources.files(__package__) / "data/wu.json"))
 
 
 def point_model() -> SpaceModel:
@@ -639,6 +630,30 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 
 # -- document interface -----------------------------------------------------
+
+
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
+    # json.loads keeps the last of two equal keys, which could flip a verdict unseen
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ModelError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+def read_document(path) -> Dict:
+    """The JSON object in a model file or package resource; a repeated key is refused."""
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise ModelError(f"cannot read model file {str(path)!r}: {err}") from err
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ModelError(f"model file {str(path)!r} is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
+    return doc
 
 
 def space_model_to_dict(model: SpaceModel) -> Dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -8,7 +9,14 @@ from math import factorial, lcm
 import pytest
 
 from spincert import certify, genus, mod2
-from spincert.certificates import Certificate, CertificateError, Check
+from spincert.certificates import (
+    Certificate,
+    CertificateError,
+    Check,
+    exact_to_json,
+    pin_label,
+    spin_label,
+)
 from spincert.exact import odd_part
 
 
@@ -368,6 +376,12 @@ class TestCombinators:
         assert factor.claim == "spin^4"
         assert factor.parameters["dimension"] == 8
 
+    def test_factor_reduction_needs_a_spin_factor(self):
+        product = certify.structure_certificate(4, 12, "product data")
+        spinc = certify.structure_certificate(2, 4, "complex structure")
+        with pytest.raises(CertificateError, match="known factor to be spin"):
+            certify.product_factor_combinator(product, spinc)
+
     def test_rejects_non_established_inputs(self):
         excluded = certify.nonspinh8_certificate(0)
         good = certify.structure_certificate(3, 8, "x")
@@ -406,6 +420,12 @@ class TestKleinObstruction:
     def test_rejects_inconclusive(self):
         base = certify.signature_bound_verdict(1, 1, 1)
         with pytest.raises(CertificateError):
+            certify.klein_product_pin_obstruction(base)
+
+    def test_rejects_an_exclusion_of_another_claim(self):
+        # the parameters carry k = 3 (spin^h), but the claim excludes spin^c
+        base = dataclasses.replace(certify.nonspinh8_certificate(0), claim="not-spin^c")
+        with pytest.raises(CertificateError, match="does not exclude a spin\\^k structure"):
             certify.klein_product_pin_obstruction(base)
 
 
@@ -460,7 +480,28 @@ class TestCertificateType:
         assert doc["parameters"]["integral(ahat)"] == "2057/32"
 
     def test_floats_rejected(self):
-        from spincert.certificates import exact_to_json
-
         with pytest.raises(CertificateError):
             exact_to_json(0.5)
+
+    def test_sets_rejected(self):
+        with pytest.raises(CertificateError, match="cannot serialize value of type set"):
+            exact_to_json({1})
+
+    def test_unknown_verdict_refused(self):
+        with pytest.raises(CertificateError, match="unknown verdict 'maybe'"):
+            Certificate(claim="x", parameters={}, checks=[], verdict="maybe")
+
+    def test_check_looked_up_by_name(self):
+        cert = certify.nonspinh8_certificate(0)
+        assert cert.check(cert.checks[0].name) is cert.checks[0]
+        with pytest.raises(KeyError):
+            cert.check("no such check")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: spin_label(0), "k must be >= 1"), (lambda: pin_label(1, "x"), "sign must be")],
+        ids=["spin-k-zero", "pin-sign"],
+    )
+    def test_label_arguments_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

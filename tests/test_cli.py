@@ -20,6 +20,15 @@ README = Path(__file__).parents[1] / "README.md"
 RHC8 = str(resources.files("spincert").joinpath("data/rhc8-a0.json"))
 
 
+class _Twin(str):
+    """A dict key equal only to itself: json.dumps writes it beside the key it spells."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
 def _json_leaves(value, acc):
     if isinstance(value, dict):
         for v in value.values():
@@ -174,6 +183,47 @@ class TestExitCodes:
         first, second = document.split("\n")[:2]
         assert first.startswith(message)
         assert second.startswith(usage)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["mayer-check", "--model", RHC8, "--k", "1", "--m", "2", "--p2", "4", "--q", "7"],
+                "mayer-check: --m, --p2, --q cannot be combined with --model",
+            ),
+            (
+                ["mayer-check", "--model", RHC8, "--k", "1", "--q", "7"],
+                "mayer-check: --q cannot be combined with --model",
+            ),
+            (
+                ["bound", "--k", "7", "--first-dim", "--m", "4", "--sigma", "1"],
+                "bound: --m, --sigma cannot be combined with --first-dim",
+            ),
+            (
+                ["bound", "--k", "7", "--first-dim", "--sigma", "1"],
+                "bound: --sigma cannot be combined with --first-dim",
+            ),
+            (
+                ["realize", "--m", "1", "--p2", "4", "--q", "7", "--sigma-min", "99"],
+                "realize: --sigma-min cannot be combined with --p2 and --q",
+            ),
+            (
+                ["realize", "--m", "1", "--p2", "4", "--q", "7", "--sigma-min", "1"],
+                "realize: --sigma-min cannot be combined with --p2 and --q",
+            ),
+        ],
+        ids=[
+            "mayer-check-model-all",
+            "mayer-check-model-q",
+            "bound-first-dim-both",
+            "bound-first-dim-sigma",
+            "realize-conditions-sigma-min",
+            "realize-conditions-sigma-min-one",
+        ],
+    )
+    def test_flags_of_the_other_mode_are_refused(self, argv, message):
+        assert run(argv) == (2, message)
+        assert run(argv + ["--json"]) == (2, message)
 
 
 class TestDocuments:
@@ -367,6 +417,12 @@ class TestModelLoading:
                 lambda doc: doc["int_profile"].update({"7": {"free": 1, "torsion": []}}),
                 "integral data above the dimension, in degree 7",
             ),
+            # json.loads alone keeps the second "sw", and the verdict flips to established
+            (lambda doc: doc.update({_Twin("sw"): {}}), "duplicate key 'sw'"),
+            (
+                lambda doc: doc["int_profile"].update({3: {"free": 0, "torsion": []}}),
+                "duplicate key '3'",
+            ),
         ],
         ids=[
             "sw-nested-list",
@@ -381,6 +437,8 @@ class TestModelLoading:
             "products-duplicate-pair",
             "sw-wrong-degree",
             "int-profile-above-dimension",
+            "duplicate-key-top-level",
+            "duplicate-key-int-profile",
         ],
     )
     def test_malformed_model_exit_two(self, tmp_path, edit, fragment):

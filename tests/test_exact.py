@@ -43,6 +43,10 @@ class TestNu2:
         for m in (1, 2, 4, 8):
             assert exact.nu2_factorial(4 * m) == 4 * m - 1
 
+    def test_factorial_of_a_negative_integer(self):
+        with pytest.raises(ValueError, match="factorial of a negative integer"):
+            exact.nu2_factorial(-1)
+
 
 class TestDyadic:
     def test_examples(self):

@@ -541,7 +541,39 @@ class TestPontryaginPolynomial:
         poly = PP({P2: Fraction(7, 45), P1_2: Fraction(-1, 45)})
         assert str(poly) == "-1/45*p1^2 + 7/45*p2"
 
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({(): Fraction(3, 2)}, "3/2"),
+            ({(): -2}, "-2"),
+            ({P1_2: -1}, "-p1^2"),
+            ({(): 1, P1: -1, P2: 1}, "1 - p1 + p2"),
+        ],
+        ids=["constant", "negative-constant", "minus-one", "unit-coefficients"],
+    )
+    def test_str_of_constants_and_unit_coefficients(self, terms, text):
+        assert str(PP(terms)) == text
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent for 'p1'"):
+            PP.monomial({"p1": -1})
+
     def test_unknown_generator_rejected(self):
         for name in ("q3", "p0", "gamma", "e"):
             with pytest.raises(ValueError):
                 PP.monomial({name: 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: genus.genus_polynomials(genus.signature_series(2), 0), "n must be >= 1"),
+        (lambda: genus.twist_class_e1(-1), "max_degree must be >= 0"),
+        (lambda: genus.rhc_ahat_twist_coeffs(0, 0), "m must be >= 1"),
+        (lambda: genus.s2m_bernoulli(0), "m must be >= 1"),
+    ],
+    ids=["genus-polynomials", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],
+)
+def test_out_of_range_arguments_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -175,6 +175,10 @@ class TestBuildAlgebra:
         with pytest.raises(AlgebraError):
             build_algebra([("1", 1)], {})
 
+    def test_product_across_algebras_refused(self):
+        with pytest.raises(AlgebraError, match="elements belong to different algebras"):
+            wu_manifold().algebra.one() * sphere_model(2).algebra.one()
+
 
 class TestWuManifold:
     def test_w2_nonzero(self):
@@ -187,6 +191,21 @@ class TestWuManifold:
 
     def test_w4_vanishes(self):
         assert wu_manifold().w(4).is_zero()
+
+    def test_matches_a_statement_independent_of_the_shipped_file(self):
+        # wu_manifold() reads data/wu.json; this states the same model by hand
+        algebra = build_algebra(
+            basis=[("1", 0), ("z2", 2), ("z3", 3), ("z5", 5)],
+            products={("z2", "z2"): [], ("z2", "z3"): ["z5"]},
+        )
+        expected = mod2.SpaceModel(
+            name="wu-manifold",
+            algebra=algebra,
+            sw={2: algebra.mask(["z2"]), 3: algebra.mask(["z3"])},
+            int_profile=IntProfile.from_mapping({0: (1, ()), 3: (0, (2,)), 5: (1, ())}),
+            dimension=5,
+        )
+        assert wu_manifold() == expected
 
     def test_uct_mismatch_detected(self):
         wu = wu_manifold()
@@ -335,8 +354,18 @@ class TestW5Verdict:
         assert cert.verdict == "established"
         assert cert.claim == "w5-obstruction-vanishes"
 
+    def test_free_rank_above_one(self):
+        cp2 = projective_space(2, 2)
+        cert = w5_verdict(kunneth(cp2, cp2))
+        assert cert.verdict == "inconclusive"
+        assert cert.parameters["H4_integral"] == "Z^3"
+
     def test_five_sphere(self):
         assert w5_verdict(sphere_model(5)).verdict == "established"
+
+    def test_sphere_dimension_must_be_positive(self):
+        with pytest.raises(ModelError, match="sphere dimension must be >= 1"):
+            sphere_model(0)
 
     def test_orientability_read_from_w1(self):
         # synthetic 5-model with w1 = a1 != 0, whose W5 verdict is an exclusion
@@ -363,6 +392,10 @@ class TestW5Verdict:
 
 
 class TestSymbolicBundles:
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            sw_ring(0)
+
     def test_tensor_case_split(self):
         for k in range(1, 9):
             ring_poly = tensor_with_det(k)
@@ -441,6 +474,10 @@ class TestSymbolicBundles:
         for n in range(0, 40):
             for k in range(0, n + 1):
                 assert mod2.binom_mod2(n, k) == comb(n, k) % 2
+
+    @pytest.mark.parametrize("n, k", [(3, 5), (0, 1), (3, -1), (0, -2)])
+    def test_binom_mod2_outside_the_triangle(self, n, k):
+        assert mod2.binom_mod2(n, k) == 0
 
 
 WU_TEXT = resources.files("spincert").joinpath("data/wu.json").read_text()
