@@ -9,7 +9,6 @@ checks as evidence of what went wrong.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -119,6 +118,3 @@ class Certificate:
             "verdict": self.verdict,
             "witnesses": exact_to_json(self.witnesses),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

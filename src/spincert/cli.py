@@ -116,6 +116,11 @@ def render_text(doc: Dict) -> str:
 
 # the engine takes about 1 s at degree 24, and the time doubles every two degrees
 GENUS_MAX_DEGREE = 24
+# s-coeffs --m 64 takes about 0.5 s and mayer-check about 1.2 s; the series of
+# 2m + 1 terms built first costs about ten times more per doubling of m
+M_MAX = 64
+# pin-table builds one row per dimension: 100000 rows take about 0.7 s and 5 MB
+PIN_TABLE_MAX_DIM = 100000
 
 _SERIES = {
     "L": genus.signature_series,
@@ -138,7 +143,13 @@ def _cmd_genus(args) -> Dict:
     }
 
 
+def _refuse_large_m(command: str, m: int, what: str = "--m") -> None:
+    if m > M_MAX:
+        raise UsageError(f"{command}: {what} must be <= {M_MAX}")
+
+
 def _cmd_s_coeffs(args) -> Dict:
+    _refuse_large_m("s-coeffs", args.m)
     coeffs = genus.l_coefficients(args.m)
     return {
         "m": args.m,
@@ -156,6 +167,7 @@ def _refuse_mixed(args, mode: str, *flags: str) -> None:
 
 
 def _cmd_realize(args) -> Union[Certificate, Dict]:
+    _refuse_large_m("realize", args.m)
     if (args.p2 is None) != (args.q is None):
         raise UsageError("realize: --p2 and --q must be given together")
     if args.p2 is not None:
@@ -193,6 +205,8 @@ def _cmd_wu_product(args) -> Certificate:
 def _cmd_pin_table(args) -> Dict:
     if args.max_dim < 2:
         raise UsageError("pin-table: --max-dim must be >= 2")
+    if args.max_dim > PIN_TABLE_MAX_DIM:
+        raise UsageError(f"pin-table: --max-dim must be <= {PIN_TABLE_MAX_DIM}")
     rows = [certify.guaranteed_structures(n).to_dict() for n in range(2, args.max_dim + 1)]
     return {"rows": rows}
 
@@ -203,9 +217,11 @@ def _cmd_mayer_check(args) -> Certificate:
         model = load_model(args.model)
         if not isinstance(model, certify.RHCModel):
             raise UsageError("mayer-check needs an rhc model, not a space model")
+        _refuse_large_m("mayer-check", model.m, "the model's m")
     elif args.m is None or args.p2 is None or args.q is None:
         raise UsageError("mayer-check: supply --model, or --m with --p2 and --q")
     else:
+        _refuse_large_m("mayer-check", args.m)
         # sigma is the L-evaluation itself; mayer_integrality_check refuses a non-integer
         sigma = genus.l_signature(args.m, args.p2, args.q)
         model = certify.RHCModel(args.m, abs(sigma), sigma, args.p2, args.q)

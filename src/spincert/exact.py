@@ -13,22 +13,6 @@ from math import comb, isqrt
 from typing import List, Set, Tuple
 
 
-class _InfiniteValuation:
-    """Marker for the 2-adic valuation of zero.
-
-    Deliberately not an integer and never comparing equal to one, so
-    callers must branch on it explicitly.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITE_VALUATION"
-
-
-INFINITE_VALUATION = _InfiniteValuation()
-
-
 def _nu2_int(n: int) -> int:
     # n odd after stripping trailing zero bits
     if n == 0:
@@ -40,21 +24,12 @@ def _nu2_int(n: int) -> int:
 def nu2(r: int | Fraction) -> int:
     """2-adic valuation of a nonzero rational.
 
-    nu2(a/b) = nu2(a) - nu2(b).  Raises ``ZeroDivisionError`` on zero;
-    use :func:`nu2_or_infinite` if the infinite value is wanted instead.
+    nu2(a/b) = nu2(a) - nu2(b).  Raises ``ZeroDivisionError`` on zero.
     """
     r = Fraction(r)
     if r == 0:
         raise ZeroDivisionError("2-adic valuation of zero is infinite")
     return _nu2_int(r.numerator) - _nu2_int(r.denominator)
-
-
-def nu2_or_infinite(r: int | Fraction) -> int | _InfiniteValuation:
-    """Like :func:`nu2` but returns the infinite marker for zero."""
-    r = Fraction(r)
-    if r == 0:
-        return INFINITE_VALUATION
-    return nu2(r)
 
 
 def nu2_factorial(n: int) -> int:
@@ -82,44 +57,24 @@ def is_dyadic(r: int | Fraction) -> bool:
 _EVEN_BERNOULLI: List[Fraction] = [Fraction(1)]
 
 
-def _bernoulli_even_modern(m: int) -> List[Fraction]:
-    """Modern-convention B_0, B_2, ..., B_{2m} (signed), by the binomial
-    recurrence sum_{r=0}^{n} C(n+1, r) B_r = 0 with B_0 = 1 and
-    B_1 = -1/2; odd-index values above 1 vanish, so only even indices
-    are carried.  The returned list is the shared table, possibly longer
-    than asked for; callers read it and never change it.
-    """
-    evens = _EVEN_BERNOULLI
-    for j in range(len(evens), m + 1):
-        n = 2 * j
-        s = sum(Fraction(comb(n + 1, 2 * i)) * evens[i] for i in range(j))
-        s += Fraction(n + 1) * Fraction(-1, 2)  # the B_1 term
-        evens.append(-s / (n + 1))
-    return evens
-
-
 def bernoulli(j: int) -> Fraction:
     """j-th Bernoulli number in the classical unsigned indexing.
 
     This is the convention with B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, i.e.
-    the absolute value of the modern B_{2j}.  The modern recurrence does
-    the work; the indexing is translated only here at the boundary.
+    the absolute value of the modern B_{2j}.  The modern values come from
+    the binomial recurrence sum_{r=0}^{n} C(n+1, r) B_r = 0 with B_0 = 1
+    and B_1 = -1/2; odd-index values above 1 vanish, so only even indices
+    are carried.  The indexing is translated only here at the boundary.
     """
     if j < 1:
         raise ValueError(f"bernoulli index must be >= 1, got {j}")
-    return abs(_bernoulli_even_modern(j)[j])
-
-
-def bernoulli_table(max_j: int) -> dict:
-    """Unsigned Bernoulli numbers {1: 1/6, 2: 1/30, ...} through max_j.
-
-    Every entry has 2-adic valuation -1 (von Staudt-Clausen: 2 always
-    divides the denominator exactly once for even index).
-    """
-    if max_j < 1:
-        raise ValueError(f"table size must be >= 1, got {max_j}")
-    evens = _bernoulli_even_modern(max_j)
-    return {j: abs(evens[j]) for j in range(1, max_j + 1)}
+    evens = _EVEN_BERNOULLI
+    for i in range(len(evens), j + 1):
+        n = 2 * i
+        s = sum(Fraction(comb(n + 1, 2 * r)) * evens[r] for r in range(i))
+        s += Fraction(n + 1) * Fraction(-1, 2)  # the B_1 term
+        evens.append(-s / (n + 1))
+    return abs(evens[j])
 
 
 def alpha(n: int) -> int:
@@ -134,10 +89,6 @@ def quadratic_residues(modulus: int) -> Set[int]:
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     return {c * c % modulus for c in range(modulus)}
-
-
-def is_quadratic_residue(value: int, modulus: int) -> bool:
-    return value % modulus in quadratic_residues(modulus)
 
 
 def four_squares(x: int) -> Tuple[int, int, int, int]:

@@ -136,11 +136,19 @@ class PontryaginPolynomial:
 
 @dataclass(frozen=True)
 class CharacteristicSeries:
-    """Formal power series 1 + q1*z + ... + q_max*z^max, coefficients exact."""
+    """Formal power series 1 + q1*z + ... + q_max*z^max, coefficients exact.
+
+    Coefficients may be given as ints or Fractions and are stored as
+    Fractions; anything else (a float, a bool) is refused.
+    """
 
     coefficients: Tuple[Fraction, ...]
 
     def __post_init__(self):
+        for q in self.coefficients:
+            if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+                raise ValueError(f"series coefficient {q!r} is not an int or a Fraction")
+        object.__setattr__(self, "coefficients", tuple(map(Fraction, self.coefficients)))
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("characteristic series must have constant term 1")
 
@@ -178,7 +186,6 @@ def _series_log(a: List[Fraction], n: int) -> List[Fraction]:
     return out
 
 
-@lru_cache(maxsize=None)
 def signature_series(max_degree: int) -> CharacteristicSeries:
     """sqrt(z)/tanh(sqrt(z)) as a z-series: cosh-type over sinh-type factorials."""
     num = [Fraction(1, factorial(2 * k)) for k in range(max_degree + 1)]
@@ -194,17 +201,10 @@ def ahat_series(max_degree: int) -> CharacteristicSeries:
     return CharacteristicSeries(tuple(_series_inverse(den, max_degree)))
 
 
-@lru_cache(maxsize=None)
 def mayer_series(max_degree: int) -> CharacteristicSeries:
     """cosh(sqrt(z)/2): z^k-coefficient 1/(4^k (2k)!)."""
     return CharacteristicSeries(
         tuple(Fraction(1, 4**k * factorial(2 * k)) for k in range(max_degree + 1))
-    )
-
-
-def trivial_series(max_degree: int) -> CharacteristicSeries:
-    return CharacteristicSeries(
-        tuple([Fraction(1)] + [Fraction(0)] * max_degree)
     )
 
 
@@ -220,8 +220,7 @@ def _named(mono: Tuple[int, ...]) -> Monomial:
     return tuple(sorted((f"p{i}", e) for i, e in enumerate(mono, 1) if e))
 
 
-@lru_cache(maxsize=None)
-def _power_sums(n: int) -> Tuple[Bucket, ...]:
+def _power_sums(n: int) -> List[Bucket]:
     # Newton: ps_k = sum_{i<k} (-1)^(i-1) p_i ps_(k-i) + (-1)^(k-1) k p_k
     sums: List[Bucket] = []
     for k in range(1, n + 1):
@@ -231,13 +230,19 @@ def _power_sums(n: int) -> Tuple[Bucket, ...]:
                 key = mono[: i - 1] + (mono[i - 1] + 1,) + mono[i:]
                 acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * c
         sums.append(acc)
-    return tuple(sums)
+    return sums
 
 
-@lru_cache(maxsize=None)
-def _genus_polynomials_cached(
+def genus_polynomials(
     series: CharacteristicSeries, n: int
-) -> Tuple[PontryaginPolynomial, ...]:
+) -> List[PontryaginPolynomial]:
+    """The polynomials K_1..K_n of the multiplicative sequence of ``series``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if series.max_degree < n:
+        raise ValueError(
+            f"series tracked through degree {series.max_degree}, need {n}"
+        )
     # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
     # dK = dg K reads j K_j = sum_{k<=j} k l_k ps_k K_(j-k).  K_j is kept as
     # an integer bucket nums[j] over the denominator dens[j], in lowest terms.
@@ -257,23 +262,10 @@ def _genus_polynomials_cached(
         g = gcd(den, *acc.values())
         nums.append({mono: c // g for mono, c in acc.items()})
         dens.append(den // g)
-    return tuple(
+    return [
         PontryaginPolynomial({_named(m): Fraction(c, d) for m, c in bucket.items()})
         for bucket, d in zip(nums[1:], dens[1:])
-    )
-
-
-def genus_polynomials(
-    series: CharacteristicSeries, n: int
-) -> List[PontryaginPolynomial]:
-    """The polynomials K_1..K_n of the multiplicative sequence of ``series``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if series.max_degree < n:
-        raise ValueError(
-            f"series tracked through degree {series.max_degree}, need {n}"
-        )
-    return list(_genus_polynomials_cached(series, n))
+    ]
 
 
 # -- signature-sequence coefficients -----------------------------------
@@ -336,7 +328,6 @@ def s2m_bernoulli(m: int) -> Fraction:
 # -- twist class and rationally-highly-connected integrals --------------
 
 
-@lru_cache(maxsize=None)
 def twist_class_e1(max_degree: int) -> PontryaginPolynomial:
     """First K-theoretic twist class, 2*sum_j (cosh y_j - 1), in p-classes.
 
@@ -363,7 +354,6 @@ def _truncated_mul(
     )
 
 
-@lru_cache(maxsize=None)
 def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]:
     """Coefficients (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q.
 
@@ -500,7 +490,6 @@ def spinh_integrand_dim8(P2sqrt_x: int, y: int, c: int) -> Fraction:
     return cxx * P2sqrt_x**2 + cy * y + cgg * c**2
 
 
-@lru_cache(maxsize=None)
 def mayer_indicator_coefficients(sign: str) -> Tuple[Fraction, Fraction]:
     """(p1, e)-coefficients of 2 * cosh(sqrt(p1 +- 2e)/2) * Ahat in degree 4.
 

@@ -162,6 +162,19 @@ class TestPoincareWitness:
         with pytest.raises(ValueError):
             certify.poincare_witness(5, -4, 9)
 
+    @pytest.mark.parametrize(
+        "sigma, P2, message",
+        [
+            (6, 45, "odd integer > 4"),
+            (3, 45, "odd integer > 4"),
+            (5, 46, "does not sum to P2"),
+        ],
+        ids=["even-sigma", "sigma-at-most-four", "squares-miss-P2"],
+    )
+    def test_witness_fields_checked(self, sigma, P2, message):
+        with pytest.raises(ValueError, match=message):
+            certify.RealizationWitness(sigma, P2, 9, (6, 2, 2, 1), "note")
+
 
 class TestSignatureBound:
     def test_dimension_32_spin7(self):
@@ -466,7 +479,7 @@ class TestCertificateType:
 
     def test_json_round_trip(self):
         cert = certify.nonspinh8_certificate(0)
-        doc = json.loads(cert.to_json())
+        doc = json.loads(json.dumps(cert.to_dict()))
         assert doc["claim"] == "not-spin^h"
         assert doc["verdict"] == "excluded"
         assert doc["parameters"]["P2"] == 57600
@@ -476,7 +489,7 @@ class TestCertificateType:
         cert = genus.mayer_integrality_check(
             certify.RHCModel(1, 1, 1, 57600, 8235), 1
         )
-        doc = json.loads(cert.to_json())
+        doc = json.loads(json.dumps(cert.to_dict()))
         assert doc["parameters"]["integral(ahat)"] == "2057/32"
 
     def test_floats_rejected(self):

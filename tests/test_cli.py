@@ -117,6 +117,53 @@ class TestExitCodes:
         assert code == 2
         assert document == "genus: --degree must be <= 24"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["s-coeffs", "--m", "65"], "s-coeffs: --m must be <= 64"),
+            (["realize", "--m", "65", "--p2", "4", "--q", "7"], "realize: --m must be <= 64"),
+            (["realize", "--m", "128"], "realize: --m must be <= 64"),
+            (
+                ["mayer-check", "--m", "65", "--k", "1", "--p2", "0", "--q", "0"],
+                "mayer-check: --m must be <= 64",
+            ),
+            (["pin-table", "--max-dim", "100001"], "pin-table: --max-dim must be <= 100000"),
+        ],
+        ids=["s-coeffs", "realize-conditions", "realize-search", "mayer-check", "pin-table"],
+    )
+    def test_budgets_are_two(self, monkeypatch, argv, message):
+        def build(*args):
+            raise AssertionError("work was done past the budget")
+
+        for name in ("signature_series", "ahat_series"):
+            monkeypatch.setattr(genus, name, build)
+        monkeypatch.setattr(certify, "guaranteed_structures", build)
+        assert run(argv) == (2, message)
+        assert run(argv + ["--json"]) == (2, message)
+
+    def test_model_m_budget_is_two(self, monkeypatch, tmp_path):
+        def evaluate(*args):
+            raise AssertionError("a model past the budget was evaluated")
+
+        monkeypatch.setattr(genus, "l_signature", evaluate)
+        path = tmp_path / "rhc.json"
+        path.write_text(json.dumps({"m": 65, "middle_betti": 0, "sigma": 0, "P2": 0, "Q": 0}))
+        code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
+        assert (code, document) == (2, "mayer-check: the model's m must be <= 64")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["s-coeffs", "--m", "64"],
+            ["realize", "--m", "64", "--p2", "0", "--q", "0"],
+            ["mayer-check", "--m", "64", "--k", "1", "--p2", "0", "--q", "0"],
+            ["pin-table", "--max-dim", "100000"],
+        ],
+        ids=["s-coeffs", "realize-conditions", "mayer-check", "pin-table"],
+    )
+    def test_at_the_budget(self, argv):
+        assert run(argv)[0] == 0
+
     def test_unexpected_exception_is_three(self, monkeypatch, capsys):
         def crash(argv):
             raise RuntimeError("broken\ninvariant")
@@ -524,6 +571,18 @@ class TestMayerCheckFlags:
         code, document = run(["mayer-check", "--m", "1", "--k", "1", "--p2", "1", "--q", "1"])
         assert code == 2
         assert "signature" in document
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("0", "k must be >= 1"),
+            ("2", "k = 2 is not below 2m = 2: the normal-bundle factor need not be rationally trivial"),
+        ],
+        ids=["k-zero", "k-at-2m"],
+    )
+    def test_rank_out_of_range(self, k, message):
+        argv = ["mayer-check", "--m", "1", "--k", k, "--p2", "4", "--q", "7"]
+        assert run(argv) == (2, f"spincert mayer-check: error: {message}")
 
     def test_sigma_flag_is_gone(self):
         # sigma = 5 does not fit (57600, 8235), whose L-evaluation gives 1

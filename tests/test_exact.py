@@ -20,13 +20,6 @@ class TestNu2:
         with pytest.raises(ZeroDivisionError):
             exact.nu2(Fraction(0))
 
-    def test_infinite_marker(self):
-        marker = exact.nu2_or_infinite(0)
-        assert marker is exact.INFINITE_VALUATION
-        assert not isinstance(marker, int)
-        assert marker != 0
-        assert exact.nu2_or_infinite(Fraction(3, 4)) == -2
-
     def test_multiplicativity_and_ultrametric(self):
         rng = random.Random(9021)
         for _ in range(300):
@@ -93,29 +86,6 @@ class TestBernoulli:
         for j in range(1, 17):
             assert exact.nu2(exact.bernoulli(j)) == -1
 
-    def test_table(self):
-        table = exact.bernoulli_table(16)
-        assert table[1] == Fraction(1, 6)
-        assert table[2] == Fraction(1, 30)
-        assert table[3] == Fraction(1, 42)
-        assert set(table) == set(range(1, 17))
-        for value in table.values():
-            assert exact.nu2(value) == -1
-        with pytest.raises(ValueError):
-            exact.bernoulli_table(0)
-
-    def test_table_is_a_fresh_dict(self):
-        table = exact.bernoulli_table(4)
-        table[1] = Fraction(0)
-        del table[2]
-        assert exact.bernoulli(1) == Fraction(1, 6)
-        assert exact.bernoulli_table(4) == {
-            1: Fraction(1, 6),
-            2: Fraction(1, 30),
-            3: Fraction(1, 42),
-            4: Fraction(1, 30),
-        }
-
     def test_bad_index(self):
         with pytest.raises(ValueError):
             exact.bernoulli(0)
@@ -144,10 +114,6 @@ class TestQuadraticResidues:
 
     def test_mod_2(self):
         assert exact.quadratic_residues(2) == {0, 1}
-
-    def test_membership(self):
-        assert not exact.is_quadratic_residue(21, 48)
-        assert exact.is_quadratic_residue(33, 48)
 
     def test_negation_symmetry(self):
         for m in range(2, 60):

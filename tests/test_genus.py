@@ -203,6 +203,23 @@ class TestSeries:
         with pytest.raises(ValueError):
             genus.CharacteristicSeries((Fraction(2), Fraction(1)))
 
+    def test_integer_coefficients_are_stored_exactly(self):
+        ints = genus.CharacteristicSeries((1, 0, 2, -3))
+        assert all(type(q) is Fraction for q in ints.coefficients)
+        fractions = genus.CharacteristicSeries(tuple(map(Fraction, (1, 0, 2, -3))))
+        assert genus.genus_polynomials(ints, 3) == genus.genus_polynomials(fractions, 3)
+        mixed = genus.CharacteristicSeries((Fraction(1), 2))
+        assert genus.genus_polynomials(mixed, 1) == [PP({P1: Fraction(2)})]
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(1, 0.5), (True, 1), (1, False), (Fraction(1), 2.0), (1, "1")],
+        ids=["float", "bool-constant", "bool", "float-integral", "str"],
+    )
+    def test_inexact_coefficients_refused(self, coefficients):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            genus.CharacteristicSeries(coefficients)
+
 
 class TestGenusPolynomials:
     def test_signature_sequence_goldens(self):
@@ -216,8 +233,15 @@ class TestGenusPolynomials:
         assert polys[1] == A2
 
     def test_trivial_series(self):
-        polys = genus.genus_polynomials(genus.trivial_series(3), 3)
+        polys = genus.genus_polynomials(
+            genus.CharacteristicSeries((Fraction(1),) + (Fraction(0),) * 3), 3
+        )
         assert all(p.is_zero() for p in polys)
+
+    def test_results_are_not_shared(self):
+        series = genus.signature_series(2)
+        genus.genus_polynomials(series, 2)[0].terms.clear()
+        assert genus.genus_polynomials(series, 2) == [L1, L2]
 
     def test_insufficient_degree(self):
         with pytest.raises(ValueError):
@@ -401,6 +425,12 @@ class TestRHCIntegrals:
 class TestTwistClass:
     def test_degree_parts(self):
         # no constant term, p1 in degree 4, p1^2/12 - p2/6 in degree 8
+        assert genus.twist_class_e1(8) == PP(
+            {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
+        )
+
+    def test_results_are_not_shared(self):
+        genus.twist_class_e1(8).terms.clear()
         assert genus.twist_class_e1(8) == PP(
             {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
         )
