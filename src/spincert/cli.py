@@ -322,11 +322,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args returns a new Namespace on every call,
+# every default is an immutable int or string, and error and --help only raise
+_PARSER = build_parser()
+
+
 def run(argv) -> Tuple[int, str]:
     """Execute one invocation; returns (exit code, document)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as err:
         return 2, str(err)
     except SystemExit as err:  # --help

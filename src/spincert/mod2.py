@@ -631,6 +631,11 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 # -- document interface -----------------------------------------------------
 
+# wu-product squares a document's model, and its time grows like the sixth power
+# of the basis size: 16 elements (a 256-element square) take 3-6 s for the whole
+# process and 18 about 10 s (Python 3.11.7, shared 2-vCPU host)
+MODEL_MAX_BASIS = 16
+
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
     # json.loads keeps the last of two equal keys, which could flip a verdict unseen
@@ -728,6 +733,8 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
         if not _is_row(entry, str, int):
             raise ModelError(f"field 'basis[{i}]': expected [name, degree]")
         basis.append((entry[0], entry[1]))
+    if len(basis) > MODEL_MAX_BASIS:
+        raise ModelError(f"field 'basis': at most {MODEL_MAX_BASIS} elements, got {len(basis)}")
     unit = _require(doc, "unit", str)
     products = {}
     for i, entry in enumerate(_require(doc, "products", list)):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial, lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,22 @@ GOLDEN_RUNS = [
     ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
     ("mayer-check-rhc8-a0.json", ["mayer-check", "--model", RHC8, "--k", "1", "--json"], 1),
 ]
+
+
+def _truncated_ring_document(n):
+    """Model document with the ring and integral profile of CP^n (n + 1 basis elements), w = 1."""
+    names = [f"x{2 * i}" for i in range(n + 1)]
+    return {
+        "name": f"CP{n}",
+        "dimension": 2 * n,
+        "basis": [[name, 2 * i] for i, name in enumerate(names)],
+        "unit": names[0],
+        "products": [
+            [names[i], names[j], [names[i + j]]] for i in range(1, n + 1) for j in range(i, n + 1 - i)
+        ],
+        "sw": {},
+        "int_profile": {str(2 * i): {"free": 1, "torsion": []} for i in range(n + 1)},
+    }
 
 
 def _readme_examples():
@@ -150,6 +167,20 @@ class TestExitCodes:
         path.write_text(json.dumps({"m": 65, "middle_betti": 0, "sigma": 0, "P2": 0, "Q": 0}))
         code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
         assert (code, document) == (2, "mayer-check: the model's m must be <= 64")
+
+    @pytest.mark.parametrize(
+        "command, flags", [("wu-product", []), ("mayer-check", ["--k", "1"])]
+    )
+    def test_model_basis_budget_is_two(self, monkeypatch, tmp_path, command, flags):
+        def build(*args):
+            raise AssertionError("a product table past the budget was validated")
+
+        monkeypatch.setattr(mod2, "build_algebra", build)
+        path = tmp_path / "cp16.json"
+        path.write_text(json.dumps(_truncated_ring_document(16)))
+        message = f"spincert {command}: error: field 'basis': at most 16 elements, got 17"
+        assert run([command, "--model", str(path), *flags]) == (2, message)
+        assert run([command, "--model", str(path), *flags, "--json"]) == (2, message)
 
     @pytest.mark.parametrize(
         "argv",
@@ -316,6 +347,19 @@ class TestDocuments:
     def test_help(self):
         code, document = run(["--help"])
         assert code == 0
+
+    def test_the_parser_is_built_once(self, monkeypatch, capsys):
+        argvs = [["non-spinh8", "--a", "0"], ["bound", "--k", "x"], ["--help"]]
+        before = [(run(argv), capsys.readouterr().out) for argv in argvs]
+
+        def rebuild():
+            raise AssertionError("run built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        assert [(run(argv), capsys.readouterr().out) for argv in argvs] == before
+        (certificate, _), (usage, _), (help_exit, help_text) = before
+        assert (certificate[0], usage[0], help_exit) == (1, 2, (0, ""))
+        assert help_text.startswith("usage: spincert")
 
 
 def _bernoulli_s_coeffs(m):
@@ -711,6 +755,19 @@ SUBCOMMANDS = st.one_of(
 ).map(lambda parts: [word for part in parts for word in part])
 
 
+# argv that end in a usage error or --help, whatever the argv drawn after them
+INTERRUPTIONS = st.sampled_from(
+    [
+        ["bound", "--k", "x"],
+        ["--help"],
+        ["realize", "--help"],
+        ["no-such-command"],
+        ["w4-lift", "--p1-m", "1"],
+        ["genus", "--series", "L", "--degree", "3", "extra"],
+    ]
+)
+
+
 class TestArgvProperties:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(SUBCOMMANDS, st.booleans())
@@ -721,6 +778,15 @@ class TestArgvProperties:
             doc = json.loads(document)
             verdict = doc.get("verdict", doc.get("certificate", {}).get("verdict"))
             assert (code == 1) == (verdict == "excluded")
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(SUBCOMMANDS | INTERRUPTIONS, SUBCOMMANDS, st.booleans())
+    def test_the_shared_parser_keeps_no_state(self, before, argv, as_json):
+        argv = argv + ["--json"] * as_json
+        run(before)
+        shared = run(argv)
+        with mock.patch.object(cli, "_PARSER", cli.build_parser()):
+            assert run(argv) == shared
 
     @pytest.mark.parametrize(
         "argv",

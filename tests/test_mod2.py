@@ -534,6 +534,10 @@ class TestModelDocuments:
             return
         assert isinstance(model, mod2.SpaceModel)
 
+    def test_basis_at_the_cap_loads(self):
+        doc = json.loads(mod2.space_model_to_json(projective_space(15, 2)))
+        assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS == 16
+
     def test_shipped_wu_document_matches_constructor(self):
         shipped = resources.files("spincert").joinpath("data/wu.json").read_bytes()
         assert mod2.space_model_to_json(wu_manifold()).encode() == shipped
