@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from math import gcd
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, INCONCLUSIVE
@@ -40,11 +42,11 @@ class F2Algebra:
     """Graded-commutative unital algebra over F2 with a finite basis.
 
     Elements are int bitmasks over the basis (bit i is ``names[i]``), and
-    ``mul[i][j]`` is the product of basis elements i and j.  The table is
-    validated exhaustively at construction: commutativity, unit law,
-    degree-additivity, and associativity on all basis triples those checks
-    leave open.  Violations raise :class:`AlgebraError` naming the
-    offending pair or triple.
+    ``mul[i][j]`` is the product of basis elements i and j, held as a tuple
+    of tuples.  The constructor indexes the basis and trusts the table: a
+    declared table goes through :func:`build_algebra`, which checks the
+    axioms, and :func:`kunneth` builds tables that satisfy them by
+    construction.
     """
 
     def __init__(
@@ -57,49 +59,7 @@ class F2Algebra:
         self.names: Tuple[str, ...] = tuple(name for name, _ in basis)
         self.degrees: Tuple[int, ...] = tuple(degree for _, degree in basis)
         self.unit = unit
-        self.mul = mul
-        self._validate()
-
-    def _validate(self) -> None:
-        names, degrees, mul = self.names, self.degrees, self.mul
-        n = len(names)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mul[i][j] != mul[j][i]:
-                    raise AlgebraError(
-                        f"product table is not commutative on the pair "
-                        f"({names[i]}, {names[j]})"
-                    )
-        u = self._index[self.unit]
-        for i in range(n):
-            if mul[u][i] != 1 << i or mul[i][u] != 1 << i:
-                raise AlgebraError(f"unit law fails on {names[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                target = degrees[i] + degrees[j]
-                for k in _bits(mul[i][j]):
-                    if degrees[k] != target:
-                        raise AlgebraError(
-                            f"product ({names[i]}, {names[j]}) is not degree-additive: "
-                            f"{names[k]!r} has degree {degrees[k]}, expected {target}"
-                        )
-        # the unit law settles triples containing the unit, and degree-additivity
-        # makes both sides zero when the degrees add up to more than the top degree
-        top = self.top_degree
-        others = [i for i in range(n) if i != u]
-        for a in others:
-            for b in others:
-                room = top - degrees[a] - degrees[b]
-                if room < 0:
-                    continue
-                for c in others:
-                    if degrees[c] > room:
-                        continue
-                    if self.product(mul[a][b], 1 << c) != self.product(1 << a, mul[b][c]):
-                        raise AlgebraError(
-                            f"product table is not associative on the triple "
-                            f"({names[a]}, {names[b]}, {names[c]})"
-                        )
+        self.mul: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in mul)
 
     def product(self, x: int, y: int) -> int:
         """Product of two elements given as masks."""
@@ -146,6 +106,54 @@ class F2Algebra:
 
     def __repr__(self) -> str:
         return f"F2Algebra(basis={list(zip(self.names, self.degrees))})"
+
+
+def _check_axioms(algebra: F2Algebra) -> None:
+    """Commutativity, unit law, degree-additivity and associativity of the table.
+
+    Associativity is checked on the basis triples the other axioms leave
+    open.  A violation raises :class:`AlgebraError` naming the offending
+    pair or triple.
+    """
+    names, degrees, mul = algebra.names, algebra.degrees, algebra.mul
+    n = len(names)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mul[i][j] != mul[j][i]:
+                raise AlgebraError(
+                    f"product table is not commutative on the pair "
+                    f"({names[i]}, {names[j]})"
+                )
+    u = algebra._index[algebra.unit]
+    for i in range(n):
+        if mul[u][i] != 1 << i or mul[i][u] != 1 << i:
+            raise AlgebraError(f"unit law fails on {names[i]!r}")
+    for i in range(n):
+        for j in range(n):
+            target = degrees[i] + degrees[j]
+            for k in _bits(mul[i][j]):
+                if degrees[k] != target:
+                    raise AlgebraError(
+                        f"product ({names[i]}, {names[j]}) is not degree-additive: "
+                        f"{names[k]!r} has degree {degrees[k]}, expected {target}"
+                    )
+    # the unit law settles triples containing the unit, and degree-additivity
+    # makes both sides zero when the degrees add up to more than the top degree
+    top = algebra.top_degree
+    others = [i for i in range(n) if i != u]
+    for a in others:
+        for b in others:
+            room = top - degrees[a] - degrees[b]
+            if room < 0:
+                continue
+            for c in others:
+                if degrees[c] > room:
+                    continue
+                if algebra.product(mul[a][b], 1 << c) != algebra.product(1 << a, mul[b][c]):
+                    raise AlgebraError(
+                        f"product table is not associative on the triple "
+                        f"({names[a]}, {names[b]}, {names[c]})"
+                    )
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -201,12 +209,12 @@ def build_algebra(
     products: Mapping[Tuple[str, str], Iterable[str]],
     unit: str = "1",
 ) -> F2Algebra:
-    """Validated algebra from a basis and a (possibly partial) product table.
+    """Checked algebra from a basis and a (possibly partial) product table.
 
-    A pair listed in one order gets the same product in the other, pairs
-    with the unit follow the unit law, and other unlisted pairs are zero.
-    Any axiom violation raises :class:`AlgebraError` naming the offending
-    pair or triple.
+    Every declared table enters here, and this is the one place where the
+    axioms are checked (:func:`_check_axioms`).  A pair listed in one order
+    gets the same product in the other, pairs with the unit follow the unit
+    law, and other unlisted pairs are zero.
     """
     index = _basis_index(basis, unit)
     table = {}
@@ -224,7 +232,9 @@ def build_algebra(
         mul[j][i] = mask
     for (i, j), mask in table.items():
         mul[i][j] = mask
-    return F2Algebra(basis, mul, unit)
+    algebra = F2Algebra(basis, mul, unit)
+    _check_axioms(algebra)
+    return algebra
 
 
 # -- declared integral cohomology ----------------------------------------
@@ -234,10 +244,11 @@ def build_algebra(
 class IntProfile:
     """Integral cohomology, declared: degree -> (free rank, torsion orders).
 
-    ``groups`` holds the non-zero degrees only, in ascending order.
+    ``groups`` is a read-only mapping that holds the non-zero degrees only,
+    in ascending order.
     """
 
-    groups: Dict[int, Tuple[int, Tuple[int, ...]]]
+    groups: Mapping[int, Tuple[int, Tuple[int, ...]]]
 
     @staticmethod
     def from_mapping(data: Mapping[int, Tuple[int, Iterable[int]]]) -> "IntProfile":
@@ -249,7 +260,7 @@ class IntProfile:
                 raise ModelError(f"malformed integral data in degree {degree}")
             if free or torsion:
                 groups[degree] = (int(free), torsion)
-        return IntProfile(groups)
+        return IntProfile(MappingProxyType(groups))
 
     def free(self, degree: int) -> int:
         return self.groups.get(degree, (0, ()))[0]
@@ -281,22 +292,24 @@ class IntProfile:
 # -- manifold models -------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SpaceModel:
     """Mod-2 cohomology ring, tangent SW class and declared integral data.
 
-    ``sw`` maps each degree d > 0 with w_d != 0 to the mask of w_d.
+    A frozen model: ``sw`` is a read-only mapping from each degree d > 0
+    with w_d != 0 to the mask of w_d, and the algebra's table is tuples.
     """
 
-    def __init__(
-        self,
-        name: str,
-        algebra: F2Algebra,
-        sw: Mapping[int, int],
-        int_profile: IntProfile,
-        dimension: int,
-    ):
-        self.sw: Dict[int, int] = {}
-        for degree, mask in sw.items():
+    name: str
+    algebra: F2Algebra
+    sw: Mapping[int, int]
+    int_profile: IntProfile
+    dimension: int
+
+    def __post_init__(self):
+        algebra, dimension = self.algebra, self.dimension
+        components: Dict[int, int] = {}
+        for degree, mask in self.sw.items():
             if not mask:
                 continue
             if degree < 1:
@@ -307,13 +320,13 @@ class SpaceModel:
                         f"sw component in degree {degree} contains {algebra.names[i]!r} "
                         f"of degree {algebra.degrees[i]}"
                     )
-            self.sw[degree] = mask
+            components[degree] = mask
         # a closed n-manifold has H^n(M; F2) != 0 and nothing above degree n
         if algebra.top_degree != dimension:
             raise ModelError(
                 f"top basis degree {algebra.top_degree} differs from the dimension {dimension}"
             )
-        groups = int_profile.groups
+        groups = self.int_profile.groups
         for degree in groups:
             if degree > dimension:
                 raise ModelError(f"integral data above the dimension, in degree {degree}")
@@ -321,17 +334,14 @@ class SpaceModel:
         # the degrees just below the groups (2-torsion counts one degree down)
         dims = Counter(algebra.degrees)
         for degree in sorted({*dims, *groups, *(d - 1 for d in groups if d)}):
-            expected = int_profile.mod2_dim(degree)
+            expected = self.int_profile.mod2_dim(degree)
             actual = dims[degree]
             if actual != expected:
                 raise ModelError(
                     f"universal-coefficient mismatch in degree {degree}: "
                     f"mod-2 dimension {actual}, integral profile predicts {expected}"
                 )
-        self.name = name
-        self.algebra = algebra
-        self.int_profile = int_profile
-        self.dimension = dimension
+        object.__setattr__(self, "sw", MappingProxyType(components))
 
     def w(self, degree: int) -> F2Element:
         if degree == 0:
@@ -341,19 +351,12 @@ class SpaceModel:
     def mod2_betti(self) -> Tuple[int, ...]:
         return tuple(self.algebra.dim(d) for d in range(self.dimension + 1))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpaceModel)
-            and self.name == other.name
-            and self.dimension == other.dimension
-            and self.algebra == other.algebra
-            and self.sw == other.sw
-            and self.int_profile == other.int_profile
-        )
 
-
+@cache
 def wu_manifold() -> SpaceModel:
     """The five-dimensional homogeneous space SU(3)/SO(3), read from ``data/wu.json``.
+
+    Read once per process; every call returns the same immutable model.
 
     Mod-2 cohomology has basis 1, z2, z3, z5 with z2*z3 = z5 and
     z2^2 = 0; the tangent SW class is 1 + z2 + z3; integrally there is a
@@ -407,8 +410,10 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
         for x, dx in zip(left.names, left.degrees)
         for y, dy in zip(right.names, right.degrees)
     ]
+    # the tensor product of two algebras that satisfy the axioms satisfies them
+    # too (over F2 graded commutativity has no signs), so the table is not checked
     mul = [
-        [_tensor(u, v, width) for u in row_a for v in row_b]
+        tuple(_tensor(u, v, width) for u in row_a for v in row_b)
         for row_a in left.mul
         for row_b in right.mul
     ]
@@ -631,10 +636,11 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 # -- document interface -----------------------------------------------------
 
-# wu-product squares a document's model, and its time grows like the sixth power
-# of the basis size: 16 elements (a 256-element square) take 3-6 s for the whole
-# process and 18 about 10 s (Python 3.11.7, shared 2-vCPU host)
-MODEL_MAX_BASIS = 16
+# wu-product squares a document's model, and building the square's N^2 x N^2 table
+# dominates: on RP^n documents the whole process took 0.2 / 0.3 / 0.6-0.7 / 1.3 /
+# 2.5 s and peaked at 19 / 26 / 57 / 149 / 373 MB at 16 / 24 / 32 / 40 / 48
+# basis elements (Python 3.11.7, shared 2-vCPU host)
+MODEL_MAX_BASIS = 32
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
@@ -776,7 +782,60 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
             raise ModelError("field 'int_profile[0]': H^0 is free, so its torsion must be empty")
         profile_data[degree] = (entry["free"], entry["torsion"])
     profile = IntProfile.from_mapping(profile_data)
-    return SpaceModel(name, algebra, sw, profile, dimension)
+    model = SpaceModel(name, algebra, sw, profile, dimension)
+    _check_closed_manifold(model)
+    return model
+
+
+def _check_closed_manifold(model: SpaceModel) -> None:
+    """Refuse a model whose data no closed manifold has.
+
+    Poincaré duality over F2: H^n is one-dimensional and the cup pairing
+    H^d x H^(n-d) -> H^n is non-degenerate.  Orientability: w1 = 0 exactly
+    when H^n(M; Z) has free rank 1.  Products of models that pass pass too.
+    """
+    algebra, n = model.algebra, model.dimension
+    by_degree: Dict[int, List[int]] = defaultdict(list)
+    for i, degree in enumerate(algebra.degrees):
+        by_degree[degree].append(i)
+    if len(by_degree[n]) != 1:
+        raise ModelError(
+            f"field 'basis': H^{n} has dimension {len(by_degree[n])}, "
+            f"a closed {n}-manifold has 1"
+        )
+    top = by_degree[n][0]
+    for d in sorted(by_degree):
+        rows, cols = by_degree[d], by_degree.get(n - d, [])
+        # row i of the pairing matrix: the j with x_i x_j equal to the top class
+        pairing = [
+            sum(1 << k for k, j in enumerate(cols) if algebra.mul[i][j] >> top & 1)
+            for i in rows
+        ]
+        if len(rows) != len(cols) or not _independent(pairing):
+            raise ModelError(
+                f"field 'products': cup pairing degenerate in degree {d} "
+                f"(H^{d} x H^{n - d} -> H^{n})"
+            )
+    orientable = not model.sw.get(1)
+    free = model.int_profile.free(n)
+    if orientable != (free == 1):
+        raise ModelError(
+            f"field 'int_profile[{n}]': H^{n}(M; Z) has free rank {free} but "
+            f"w1 {'=' if orientable else '!='} 0; a closed manifold has free rank 1 "
+            f"in its top degree exactly when w1 = 0"
+        )
+
+
+def _independent(vectors: Iterable[int]) -> bool:
+    """Whether the F2 vectors, given as masks, are linearly independent."""
+    reduced: List[int] = []  # distinct leading bits, highest first
+    for v in vectors:
+        for b in reduced:
+            v = min(v, v ^ b)
+        if not v:
+            return False
+        reduced = sorted([*reduced, v], reverse=True)
+    return True
 
 
 def rhc_model_from_dict(doc: Mapping) -> RHCModel:

@@ -176,9 +176,9 @@ class TestExitCodes:
             raise AssertionError("a product table past the budget was validated")
 
         monkeypatch.setattr(mod2, "build_algebra", build)
-        path = tmp_path / "cp16.json"
-        path.write_text(json.dumps(_truncated_ring_document(16)))
-        message = f"spincert {command}: error: field 'basis': at most 16 elements, got 17"
+        path = tmp_path / "cp32.json"
+        path.write_text(json.dumps(_truncated_ring_document(32)))
+        message = f"spincert {command}: error: field 'basis': at most 32 elements, got 33"
         assert run([command, "--model", str(path), *flags]) == (2, message)
         assert run([command, "--model", str(path), *flags, "--json"]) == (2, message)
 
@@ -471,6 +471,76 @@ class TestModelLoading:
         code, document = run(["wu-product", "--model", str(path)])
         assert code == 2
         assert "associative" in document and "(" in document
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                # data/wu.json with every product set to zero: z5 pairs with nothing
+                {
+                    **json.loads(mod2.space_model_to_json(mod2.wu_manifold())),
+                    "products": [],
+                },
+                "field 'products': cup pairing degenerate in degree 2 (H^2 x H^3 -> H^5)",
+            ),
+            (
+                # RP^2 declared with w1 = 0
+                {
+                    "name": "RP2",
+                    "dimension": 2,
+                    "basis": [["1", 0], ["x1", 1], ["x2", 2]],
+                    "unit": "1",
+                    "products": [["x1", "x1", ["x2"]]],
+                    "sw": {},
+                    "int_profile": {
+                        "0": {"free": 1, "torsion": []},
+                        "2": {"free": 0, "torsion": [2]},
+                    },
+                },
+                "field 'int_profile[2]': H^2(M; Z) has free rank 0 but w1 = 0; "
+                "a closed manifold has free rank 1 in its top degree exactly when w1 = 0",
+            ),
+        ],
+        ids=["poincare-duality", "orientability"],
+    )
+    def test_no_closed_manifold_exit_two(self, tmp_path, doc, message, flags):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["wu-product", "--model", str(path), *flags]
+        assert run(argv) == (2, f"spincert wu-product: error: {message}")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_product_name_collision_exit_two(self, tmp_path, flags):
+        # T^3 on generators a, c, a⊗b: its square names both (a⊗b)⊗c and a⊗(b⊗c) 'a⊗b⊗c'
+        doc = {
+            "name": "T3",
+            "dimension": 3,
+            "basis": [
+                ["1", 0], ["a", 1], ["c", 1], ["a⊗b", 1], ["b⊗c", 2], ["u", 2], ["v", 2], ["t", 3]
+            ],
+            "unit": "1",
+            "products": [
+                ["a", "c", ["b⊗c"]],
+                ["a", "a⊗b", ["u"]],
+                ["c", "a⊗b", ["v"]],
+                ["a", "v", ["t"]],
+                ["c", "u", ["t"]],
+                ["a⊗b", "b⊗c", ["t"]],
+            ],
+            "sw": {},
+            "int_profile": {
+                "0": {"free": 1, "torsion": []},
+                "1": {"free": 3, "torsion": []},
+                "2": {"free": 3, "torsion": []},
+                "3": {"free": 1, "torsion": []},
+            },
+        }
+        assert mod2.space_model_from_dict(doc).dimension == 3
+        path = tmp_path / "t3.json"
+        path.write_text(json.dumps(doc))
+        argv = ["wu-product", "--model", str(path), *flags]
+        assert run(argv) == (2, "spincert wu-product: error: duplicate basis element 'a⊗b⊗c'")
 
     @pytest.mark.parametrize(
         "edit, fragment",

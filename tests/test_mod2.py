@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import operator
 import random
 import re
 from importlib import resources
@@ -207,6 +209,29 @@ class TestWuManifold:
         )
         assert wu_manifold() == expected
 
+    def test_one_shared_model(self):
+        wu = wu_manifold()
+        assert wu_manifold() is wu
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wu.sw = {}
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda wu: operator.setitem(wu.sw, 4, wu.algebra.mask(["z2"])),
+            lambda wu: operator.delitem(wu.sw, 2),
+            lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())),
+            lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0),
+            lambda wu: operator.setitem(wu.algebra.mul, 1, ()),
+        ],
+        ids=["sw-set", "sw-delete", "groups", "mul-row", "mul"],
+    )
+    def test_shared_model_is_read_only(self, write):
+        wu = wu_manifold()
+        with pytest.raises(TypeError):
+            write(wu)
+        assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
+
     def test_uct_mismatch_detected(self):
         wu = wu_manifold()
         bad_profile = IntProfile.from_mapping({0: (1, ()), 5: (1, ())})
@@ -282,6 +307,7 @@ class TestKunneth:
     def test_products_match_the_factors(self, a, b):
         # (x1⊗y1)(x2⊗y2) = (x1 x2)⊗(y1 y2), with the factor products written out by name
         product = kunneth(a, b)
+        mod2._check_axioms(product.algebra)
         A, B, AB = a.algebra, b.algebra, product.algebra
         assert len(AB.names) == len(A.names) * len(B.names)
         for x1 in A.names:
@@ -298,12 +324,35 @@ class TestKunneth:
                 want ^= {f"{u}⊗{v}" for u in a.w(i).support for v in b.w(degree - i).support}
             assert product.w(degree).support == want
 
+    def test_products_pass_the_axiom_check(self):
+        # kunneth does not check its table; the full check is the slow oracle here
+        wu = wu_manifold()
+        square = kunneth(wu, wu)
+        mod2._check_axioms(square.algebra)
+        chain = square
+        for n in (3, 2, 1):
+            chain = kunneth(chain, sphere_model(n))
+        assert len(chain.algebra.names) == 128
+        mod2._check_axioms(chain.algebra)
+
+    def test_the_product_table_is_not_checked(self, monkeypatch):
+        wu = wu_manifold()
+
+        def refuse(algebra):
+            raise AssertionError("the axiom check ran")
+
+        monkeypatch.setattr(mod2, "_check_axioms", refuse)
+        with pytest.raises(AssertionError, match="the axiom check ran"):
+            sphere_model(2)
+        assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
+
     def test_sparse_sums_match_the_dense_oracle(self):
         rng = random.Random(9)
         models = [random_model(rng, f"m{k}") for k in range(201)]
         seen = set()
         for a, b in zip(models, models[1:]):
             product = kunneth(a, b)
+            mod2._check_axioms(product.algebra)
             sw, profile = dense_kunneth_sw_and_profile(a, b)
             assert product.sw == sw
             assert product.int_profile == profile
@@ -535,8 +584,8 @@ class TestModelDocuments:
         assert isinstance(model, mod2.SpaceModel)
 
     def test_basis_at_the_cap_loads(self):
-        doc = json.loads(mod2.space_model_to_json(projective_space(15, 2)))
-        assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS == 16
+        doc = json.loads(mod2.space_model_to_json(projective_space(31, 2)))
+        assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS == 32
 
     def test_shipped_wu_document_matches_constructor(self):
         shipped = resources.files("spincert").joinpath("data/wu.json").read_bytes()
@@ -659,3 +708,75 @@ class TestModelDocuments:
         doc["sw"]["2"] = ["nope"]
         with pytest.raises(ModelError, match=r"sw\[2\]"):
             mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "model, edit, message",
+        [
+            (
+                wu_manifold(),
+                lambda doc: [entry.__setitem__(2, []) for entry in doc["products"]],
+                "field 'products': cup pairing degenerate in degree 2 (H^2 x H^3 -> H^5)",
+            ),
+            (
+                # H^2 = <x2> pairs with H^3 = 0
+                sphere_model(5),
+                lambda doc: (
+                    doc["basis"].append(["x2", 2]),
+                    doc["int_profile"].update({"2": {"free": 1, "torsion": []}}),
+                ),
+                "field 'products': cup pairing degenerate in degree 2 (H^2 x H^3 -> H^5)",
+            ),
+            (
+                # a * a = a * b = b * b = t on T^2: the pairing matrix has rank 1
+                kunneth(sphere_model(1), sphere_model(1)),
+                lambda doc: [
+                    entry.__setitem__(2, ["v1⊗v1"])
+                    for entry in doc["products"]
+                    if "v1⊗v1" not in entry[:2]
+                ],
+                "field 'products': cup pairing degenerate in degree 1 (H^1 x H^1 -> H^2)",
+            ),
+            (
+                sphere_model(2),
+                lambda doc: (
+                    doc["basis"].append(["u2", 2]),
+                    doc["int_profile"].update({"2": {"free": 2, "torsion": []}}),
+                ),
+                "field 'basis': H^2 has dimension 2, a closed 2-manifold has 1",
+            ),
+            (
+                projective_space(2, 1),
+                lambda doc: doc.update(sw={}),
+                "field 'int_profile[2]': H^2(M; Z) has free rank 0 but w1 = 0",
+            ),
+            (
+                projective_space(3, 1),
+                lambda doc: doc.update(sw={"1": ["x1"]}),
+                "field 'int_profile[3]': H^3(M; Z) has free rank 1 but w1 != 0",
+            ),
+        ],
+        ids=[
+            "wu-zero-products",
+            "unpaired-degree",
+            "singular-pairing",
+            "top-dimension-2",
+            "rp2-w1-zero",
+            "rp3-w1",
+        ],
+    )
+    def test_no_closed_manifold_has_the_data(self, model, edit, message):
+        doc = json.loads(mod2.space_model_to_json(model))
+        edit(doc)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            mod2.space_model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "model",
+        [wu_manifold(), projective_space(2, 1), projective_space(3, 1), projective_space(4, 2)]
+        + [sphere_model(n) for n in (1, 2, 5)]
+        + [kunneth(sphere_model(1), sphere_model(1))],
+        ids=lambda model: model.name,
+    )
+    def test_closed_manifolds_load(self, model):
+        doc = json.loads(mod2.space_model_to_json(model))
+        assert mod2.space_model_from_dict(doc) == model
