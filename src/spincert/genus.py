@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import add
 from typing import Dict, List, Mapping, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
@@ -57,8 +56,9 @@ def _mono_from_mapping(spec: Mapping[str, int]) -> Monomial:
     return tuple(sorted(items))
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(class_degree(name) * exp for name, exp in mono)
+def _mono_weight(mono: Monomial) -> int:
+    # a quarter of the degree: p_i has weight i
+    return sum(int(name[1:]) * exp for name, exp in mono)
 
 
 class PontryaginPolynomial:
@@ -74,7 +74,8 @@ class PontryaginPolynomial:
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -112,22 +113,23 @@ class PontryaginPolynomial:
         if not self.terms:
             return "0"
         parts: List[str] = []
-        for mono in sorted(self.terms, key=lambda m: (_mono_degree(m), m)):
+        for mono in sorted(self.terms, key=lambda m: (_mono_weight(m), m)):
             coeff = self.terms[mono]
+            num, den = coeff.numerator, coeff.denominator
             body = "*".join(
                 name if exp == 1 else f"{name}^{exp}" for name, exp in mono
             )
-            mag = abs(coeff)
+            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
             if not body:
-                piece = str(mag)
-            elif mag == 1:
+                piece = mag
+            elif mag == "1":
                 piece = body
             else:
                 piece = f"{mag}*{body}"
             if not parts:
-                parts.append(piece if coeff > 0 else f"-{piece}")
+                parts.append(piece if num > 0 else f"-{piece}")
             else:
-                parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
+                parts.append(f"+ {piece}" if num > 0 else f"- {piece}")
         return " ".join(parts)
 
 
@@ -209,26 +211,42 @@ def mayer_series(max_degree: int) -> CharacteristicSeries:
 
 
 # -- genus polynomials -------------------------------------------------
-# The engine writes p_1^e_1 ... p_n^e_n as the exponent vector (e_1, .., e_n)
-# and a homogeneous polynomial as a bucket, a dict from exponent vectors to
-# integer coefficients; class names enter only in _named.
+# The engine packs the exponent vector of p_1^e_1 ... p_n^e_n into one int
+# key: field i - 1, n.bit_length() bits wide, holds e_i.  Every monomial of
+# weight at most n has exponents at most n, so adding two keys of total
+# weight at most n adds their vectors without a carry, and a monomial
+# product is one int addition.  A homogeneous polynomial is a bucket, a
+# dict from keys to integer coefficients; class names enter only in _named.
 
-Bucket = Dict[Tuple[int, ...], int]
+Bucket = Dict[int, int]
 
 
-def _named(mono: Tuple[int, ...]) -> Monomial:
-    return tuple(sorted((f"p{i}", e) for i, e in enumerate(mono, 1) if e))
+def _named(key: int, names: List[str]) -> Monomial:
+    # names[i - 1] is "p{i}", and the key was packed for n = len(names)
+    width = len(names).bit_length()
+    field = (1 << width) - 1
+    mono = []
+    for name in names:
+        if not key:
+            break
+        if key & field:
+            mono.append((name, key & field))
+        key >>= width
+    # names sort as strings, and "p10" < "p2"
+    return tuple(sorted(mono)) if len(names) > 9 else tuple(mono)
 
 
 def _power_sums(n: int) -> List[Bucket]:
     # Newton: ps_k = sum_{i<k} (-1)^(i-1) p_i ps_(k-i) + (-1)^(k-1) k p_k
+    width = n.bit_length()
     sums: List[Bucket] = []
     for k in range(1, n + 1):
-        acc = {tuple(int(i == k) for i in range(1, n + 1)): (-1) ** (k - 1) * k}
+        acc = {1 << (k - 1) * width: (-1) ** (k - 1) * k}
         for i in range(1, k):
+            p_i, sign = 1 << (i - 1) * width, (-1) ** (i - 1)
             for mono, c in sums[k - i - 1].items():
-                key = mono[: i - 1] + (mono[i - 1] + 1,) + mono[i:]
-                acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * c
+                key = mono + p_i
+                acc[key] = acc.get(key, 0) + sign * c
         sums.append(acc)
     return sums
 
@@ -248,22 +266,25 @@ def genus_polynomials(
     # an integer bucket nums[j] over the denominator dens[j], in lowest terms.
     logs = _series_log(list(series.coefficients), n)
     sums = _power_sums(n)
-    nums, dens = [{(0,) * n: 1}], [1]
+    nums, dens = [{0: 1}], [1]
     for j in range(1, n + 1):
         weights = [k * logs[k] / (j * dens[j - k]) for k in range(1, j + 1)]
         den = lcm(*(w.denominator for w in weights))
         acc: Bucket = {}
+        get = acc.get
         for k, w in enumerate(weights, 1):
+            lower = nums[j - k].items()
             for ma, ca in sums[k - 1].items():
                 c = ca * w.numerator * (den // w.denominator)
-                for mb, cb in nums[j - k].items():
-                    key = tuple(map(add, ma, mb))
-                    acc[key] = acc.get(key, 0) + c * cb
+                for mb, cb in lower:
+                    key = ma + mb
+                    acc[key] = get(key, 0) + c * cb
         g = gcd(den, *acc.values())
         nums.append({mono: c // g for mono, c in acc.items()})
         dens.append(den // g)
+    names = [f"p{i}" for i in range(1, n + 1)]
     return [
-        PontryaginPolynomial({_named(m): Fraction(c, d) for m, c in bucket.items()})
+        PontryaginPolynomial({_named(m, names): Fraction(c, d) for m, c in bucket.items()})
         for bucket, d in zip(nums[1:], dens[1:])
     ]
 
@@ -336,9 +357,11 @@ def twist_class_e1(max_degree: int) -> PontryaginPolynomial:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    n = max_degree // 4
+    names = [f"p{i}" for i in range(1, n + 1)]
     terms = {}
-    for r, ps in enumerate(_power_sums(max_degree // 4), 1):
-        terms.update((_named(m), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items())
+    for r, ps in enumerate(_power_sums(n), 1):
+        terms.update((_named(m, names), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items())
     return PontryaginPolynomial(terms)
 
 

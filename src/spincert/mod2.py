@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from importlib import resources
 from math import gcd
@@ -46,8 +46,14 @@ class F2Algebra:
     of tuples.  The constructor indexes the basis and trusts the table: a
     declared table goes through :func:`build_algebra`, which checks the
     axioms, and :func:`kunneth` builds tables that satisfy them by
-    construction.
+    construction.  An algebra is read-only once built, as a shared
+    :class:`SpaceModel` needs: its attributes cannot be rebound or deleted.
     """
+
+    names: Tuple[str, ...]
+    degrees: Tuple[int, ...]
+    unit: str
+    mul: Tuple[Tuple[int, ...], ...]
 
     def __init__(
         self,
@@ -55,11 +61,21 @@ class F2Algebra:
         mul: Sequence[Sequence[int]],
         unit: str,
     ):
-        self._index = _basis_index(basis, unit)
-        self.names: Tuple[str, ...] = tuple(name for name, _ in basis)
-        self.degrees: Tuple[int, ...] = tuple(degree for _, degree in basis)
-        self.unit = unit
-        self.mul: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in mul)
+        fields = {
+            "_index": _basis_index(basis, unit),
+            "names": tuple(name for name, _ in basis),
+            "degrees": tuple(degree for _, degree in basis),
+            "unit": unit,
+            "mul": tuple(tuple(row) for row in mul),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def product(self, x: int, y: int) -> int:
         """Product of two elements given as masks."""
@@ -393,12 +409,21 @@ def sphere_model(n: int) -> SpaceModel:
 # -- Kunneth products -------------------------------------------------------
 
 
-def _tensor(x: int, y: int, width: int) -> int:
-    """Mask of x ⊗ y, where the basis pair (i, j) has index i * width + j."""
+def _spread(x: int, width: int) -> int:
+    """x with bit i moved to bit i * width."""
     acc = 0
     for i in _bits(x):
-        acc |= y << (i * width)
+        acc |= 1 << (i * width)
     return acc
+
+
+def _tensor(x: int, y: int, width: int) -> int:
+    """Mask of x ⊗ y, where the basis pair (i, j) has index i * width + j.
+
+    y < 2^width, so the copies y << (i * width) do not overlap, and their
+    union is the product y * _spread(x, width).
+    """
+    return y * _spread(x, width)
 
 
 def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
@@ -411,12 +436,10 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
         for y, dy in zip(right.names, right.degrees)
     ]
     # the tensor product of two algebras that satisfy the axioms satisfies them
-    # too (over F2 graded commutativity has no signs), so the table is not checked
-    mul = [
-        tuple(_tensor(u, v, width) for u in row_a for v in row_b)
-        for row_a in left.mul
-        for row_b in right.mul
-    ]
+    # too (over F2 graded commutativity has no signs), so the table is not checked;
+    # each entry is _tensor(u, v, width), with u spread once per left entry
+    spread = [[_spread(u, width) for u in row_a] for row_a in left.mul]
+    mul = [tuple(s * v for s in row_s for v in row_b) for row_s in spread for row_b in right.mul]
     algebra = F2Algebra(basis, mul, f"{left.unit}⊗{right.unit}")
 
     # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
@@ -637,9 +660,10 @@ def twist_then_sum(k: int) -> SymbolicSW:
 # -- document interface -----------------------------------------------------
 
 # wu-product squares a document's model, and building the square's N^2 x N^2 table
-# dominates: on RP^n documents the whole process took 0.2 / 0.3 / 0.6-0.7 / 1.3 /
-# 2.5 s and peaked at 19 / 26 / 57 / 149 / 373 MB at 16 / 24 / 32 / 40 / 48
-# basis elements (Python 3.11.7, shared 2-vCPU host)
+# dominates: on RP^n documents the whole process took 0.13-0.17 / 0.15-0.16 / 0.22 /
+# 0.45-0.49 / 0.95-1.04 s and peaked at 19 / 26 / 58 / 152 / 377 MB at 16 / 24 / 32 /
+# 40 / 48 basis elements (Python 3.11.7, shared 2-vCPU host); memory more than time
+# keeps the cap at 32
 MODEL_MAX_BASIS = 32
 
 

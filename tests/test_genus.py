@@ -97,6 +97,51 @@ def _oracle_genus(series, n, n_roots):
     return parts
 
 
+# -- slow oracle for the packed monomial keys ------------------------------
+#
+# The engine's recurrence j K_j = sum_k k l_k ps_k K_(j-k) with each monomial
+# p_1^e_1 ... p_n^e_n keyed by its exponent tuple (e_1, ..., e_n) and rational
+# coefficients, so a product of monomials adds tuples entry by entry.  The
+# library packs the same vectors into ints; this keeps the unpacked form.
+
+
+def _tuple_power_sums(n):
+    # Newton: ps_k = sum_{i<k} (-1)^(i-1) p_i ps_(k-i) + (-1)^(k-1) k p_k
+    sums = []
+    for k in range(1, n + 1):
+        acc = {tuple(int(i == k) for i in range(1, n + 1)): (-1) ** (k - 1) * k}
+        for i in range(1, k):
+            for mono, c in sums[k - i - 1].items():
+                key = mono[: i - 1] + (mono[i - 1] + 1,) + mono[i:]
+                acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * c
+        sums.append(acc)
+    return sums
+
+
+def _tuple_genus_terms(series, n):
+    """The .terms of K_1..K_n, computed over exponent tuples."""
+    logs = genus._series_log(list(series.coefficients), n)
+    sums = _tuple_power_sums(n)
+    parts = [{(0,) * n: Fraction(1)}]
+    for j in range(1, n + 1):
+        acc = {}
+        for k in range(1, j + 1):
+            weight = k * logs[k] / j
+            for ma, ca in sums[k - 1].items():
+                for mb, cb in parts[j - k].items():
+                    key = tuple(x + y for x, y in zip(ma, mb))
+                    acc[key] = acc.get(key, 0) + weight * ca * cb
+        parts.append(acc)
+    return [
+        {
+            tuple(sorted((f"p{i}", e) for i, e in enumerate(mono, 1) if e)): c
+            for mono, c in part.items()
+            if c
+        }
+        for part in parts[1:]
+    ]
+
+
 # -- slow oracles for the closed-form coefficients -------------------------
 #
 # The library reads the p_m, p_m^2 and p_{2m} coefficients from a closed
@@ -255,6 +300,14 @@ class TestGenusPolynomials:
         oracle = _oracle_genus(series, n, n_roots=n)
         for j in range(1, n + 1):
             assert _engine_to_partitions(engine[j - 1]) == oracle[j]
+
+    @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
+    def test_packed_keys_match_the_tuple_oracle(self, maker):
+        # the field width n.bit_length() grows at n = 2, 4, 8 and 16
+        oracle = _tuple_genus_terms(maker(16), 16)
+        for n in range(1, 17):
+            engine = genus.genus_polynomials(maker(n), n)
+            assert [poly.terms for poly in engine] == oracle[:n], n
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_signature_of_complex_projective_space(self, k):

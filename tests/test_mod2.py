@@ -216,19 +216,27 @@ class TestWuManifold:
             wu.sw = {}
 
     @pytest.mark.parametrize(
-        "write",
+        "write, error",
         [
-            lambda wu: operator.setitem(wu.sw, 4, wu.algebra.mask(["z2"])),
-            lambda wu: operator.delitem(wu.sw, 2),
-            lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())),
-            lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0),
-            lambda wu: operator.setitem(wu.algebra.mul, 1, ()),
+            (lambda wu: operator.setitem(wu.sw, 4, wu.algebra.mask(["z2"])), TypeError),
+            (lambda wu: operator.delitem(wu.sw, 2), TypeError),
+            (lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())), TypeError),
+            (lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0), TypeError),
+            (lambda wu: operator.setitem(wu.algebra.mul, 1, ()), TypeError),
+            (lambda wu: setattr(wu.algebra, "mul", ()), dataclasses.FrozenInstanceError),
+            (lambda wu: setattr(wu.algebra, "names", ()), dataclasses.FrozenInstanceError),
+            (lambda wu: setattr(wu.algebra, "_index", {}), dataclasses.FrozenInstanceError),
+            (lambda wu: delattr(wu.algebra, "degrees"), dataclasses.FrozenInstanceError),
+            (lambda wu: setattr(wu.algebra, "unit", "z2"), dataclasses.FrozenInstanceError),
         ],
-        ids=["sw-set", "sw-delete", "groups", "mul-row", "mul"],
+        ids=[
+            "sw-set", "sw-delete", "groups", "mul-row", "mul",
+            "algebra-mul", "algebra-names", "algebra-index", "algebra-degrees", "algebra-unit",
+        ],
     )
-    def test_shared_model_is_read_only(self, write):
+    def test_shared_model_is_read_only(self, write, error):
         wu = wu_manifold()
-        with pytest.raises(TypeError):
+        with pytest.raises(error):
             write(wu)
         assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
 
@@ -345,6 +353,18 @@ class TestKunneth:
         with pytest.raises(AssertionError, match="the axiom check ran"):
             sphere_model(2)
         assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
+
+    def test_tensor_matches_the_shift_or_form(self):
+        # _tensor multiplies y by the spread of x; the slow form ORs a shifted copy of y per bit of x
+        rng = random.Random(17)
+        for _ in range(2000):
+            width = rng.randint(1, 40)
+            x, y = rng.getrandbits(rng.randint(0, 40)), rng.getrandbits(width)
+            want = 0
+            for i in range(x.bit_length()):
+                if x >> i & 1:
+                    want |= y << (i * width)
+            assert mod2._tensor(x, y, width) == want
 
     def test_sparse_sums_match_the_dense_oracle(self):
         rng = random.Random(9)
