@@ -368,27 +368,6 @@ def w4_lift(p1_M: int, p1_E: int, variant: str = "plain", euler_E: int = 0) -> i
     return diff // 2
 
 
-@dataclass(frozen=True)
-class FourManifoldDatum:
-    """Classical closed 4-manifold data paired with a structure's p1(E)."""
-
-    name: str
-    sigma: int
-    euler: int
-    p1: int
-    p1_E: int  # 0 for a spin structure, c^2 for a spin^c structure
-
-
-FOUR_MANIFOLD_DATA = (
-    FourManifoldDatum("S^4", 0, 2, 0, 0),
-    FourManifoldDatum("S^2 x S^2", 0, 4, 0, 0),
-    FourManifoldDatum("CP^2", 1, 3, 3, 9),
-    FourManifoldDatum("CP^2 (reversed)", -1, 3, -3, -9),
-    FourManifoldDatum("CP^2 # CP^2", 2, 4, 6, 18),
-    FourManifoldDatum("K3", -16, 24, -48, 0),
-)
-
-
 # -- guaranteed structures ----------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
 
 def _nu2_int(n: int) -> int:
@@ -53,10 +53,6 @@ def is_dyadic(r: int | Fraction) -> bool:
     return odd_part(r.denominator) == 1
 
 
-# modern-convention B_0, B_2, B_4, ... (signed), extended on demand
-_EVEN_BERNOULLI: List[Fraction] = [Fraction(1)]
-
-
 def bernoulli(j: int) -> Fraction:
     """j-th Bernoulli number in the classical unsigned indexing.
 
@@ -68,8 +64,8 @@ def bernoulli(j: int) -> Fraction:
     """
     if j < 1:
         raise ValueError(f"bernoulli index must be >= 1, got {j}")
-    evens = _EVEN_BERNOULLI
-    for i in range(len(evens), j + 1):
+    evens = [Fraction(1)]  # modern-convention B_0, B_2, B_4, ... (signed)
+    for i in range(1, j + 1):
         n = 2 * i
         s = sum(Fraction(comb(n + 1, 2 * r)) * evens[r] for r in range(i))
         s += Fraction(n + 1) * Fraction(-1, 2)  # the B_1 term

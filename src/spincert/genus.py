@@ -64,8 +64,8 @@ def _mono_weight(mono: Monomial) -> int:
 class PontryaginPolynomial:
     """Polynomial in Pontryagin classes with exact rational coefficients.
 
-    The read-only result type of the genus engine and the twist class:
-    zero coefficients are never stored, and there is no arithmetic.
+    The read-only result type of the genus engine: zero coefficients are
+    never stored, and there is no arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -159,32 +159,20 @@ class CharacteristicSeries:
         return len(self.coefficients) - 1
 
 
-def _series_mul(a: List[Fraction], b: List[Fraction], n: int) -> List[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out
+def _series_quotient(num: List[Fraction | int], den: List[Fraction]) -> Tuple[Fraction, ...]:
+    # q = num / den through the length of num, den_0 = 1:
+    # q_k = num_k - sum_{0<i<=k} den_i q_(k-i)
+    out: List[Fraction] = []
+    for k, num_k in enumerate(num):
+        out.append(num_k - sum(den[i] * out[k - i] for i in range(1, k + 1)))
+    return tuple(out)
 
-def _series_inverse(a: List[Fraction], n: int) -> List[Fraction]:
-    if a[0] != 1:
-        raise ValueError("inversion needs constant term 1")
-    out = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        out[k] = -sum(a[i] * out[k - i] for i in range(1, k + 1) if i < len(a))
-    return out
 
-def _series_log(a: List[Fraction], n: int) -> List[Fraction]:
-    # c = log a with a_0 = 1, via k*a_k = sum_{i<=k} i*c_i*a_{k-i}
+def _series_log(a: Tuple[Fraction, ...], n: int) -> List[Fraction]:
+    # c = log a with a_0 = 1, via k*a_k = sum_{i<=k} i*c_i*a_{k-i}; a has n + 1 terms
     out = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
-        acc = k * a[k] if k < len(a) else Fraction(0)
-        for i in range(1, k):
-            if k - i < len(a):
-                acc -= i * out[i] * a[k - i]
-        out[k] = acc / k
+        out[k] = (k * a[k] - sum(i * out[i] * a[k - i] for i in range(1, k))) / k
     return out
 
 
@@ -192,15 +180,14 @@ def signature_series(max_degree: int) -> CharacteristicSeries:
     """sqrt(z)/tanh(sqrt(z)) as a z-series: cosh-type over sinh-type factorials."""
     num = [Fraction(1, factorial(2 * k)) for k in range(max_degree + 1)]
     den = [Fraction(1, factorial(2 * k + 1)) for k in range(max_degree + 1)]
-    coeffs = _series_mul(num, _series_inverse(den, max_degree), max_degree)
-    return CharacteristicSeries(tuple(coeffs))
+    return CharacteristicSeries(_series_quotient(num, den))
 
 
-@lru_cache(maxsize=None)
 def ahat_series(max_degree: int) -> CharacteristicSeries:
-    """(sqrt(z)/2)/sinh(sqrt(z)/2) as a z-series."""
+    """(sqrt(z)/2)/sinh(sqrt(z)/2) as a z-series: one over the sinh-type series at z/4."""
     den = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(max_degree + 1)]
-    return CharacteristicSeries(tuple(_series_inverse(den, max_degree)))
+    one = [int(k == 0) for k in range(max_degree + 1)]
+    return CharacteristicSeries(_series_quotient(one, den))
 
 
 def mayer_series(max_degree: int) -> CharacteristicSeries:
@@ -264,7 +251,7 @@ def genus_polynomials(
     # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
     # dK = dg K reads j K_j = sum_{k<=j} k l_k ps_k K_(j-k).  K_j is kept as
     # an integer bucket nums[j] over the denominator dens[j], in lowest terms.
-    logs = _series_log(list(series.coefficients), n)
+    logs = _series_log(series.coefficients, n)
     sums = _power_sums(n)
     nums, dens = [{0: 1}], [1]
     for j in range(1, n + 1):
@@ -315,7 +302,7 @@ def _sequence_triple(
     exp(l_m ps_m + l_2m ps_2m) = 1 + g + g^2/2 (Hirzebruch, Topological
     Methods in Algebraic Geometry, section 1).
     """
-    logs = _series_log(list(series.coefficients), 2 * m)
+    logs = _series_log(series.coefficients, 2 * m)
     c_m = (-1) ** (m - 1) * m * logs[m]
     return c_m, m * logs[2 * m] + c_m * c_m / 2, -2 * m * logs[2 * m]
 
@@ -349,22 +336,6 @@ def s2m_bernoulli(m: int) -> Fraction:
 # -- twist class and rationally-highly-connected integrals --------------
 
 
-def twist_class_e1(max_degree: int) -> PontryaginPolynomial:
-    """First K-theoretic twist class, 2*sum_j (cosh y_j - 1), in p-classes.
-
-    With z_j = y_j^2 this is 2 * sum_{r>=1} ps_r(z) / (2r)! where ps_r is
-    the r-th power sum; the degree-4 part is p_1.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    n = max_degree // 4
-    names = [f"p{i}" for i in range(1, n + 1)]
-    terms = {}
-    for r, ps in enumerate(_power_sums(n), 1):
-        terms.update((_named(m, names), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items())
-    return PontryaginPolynomial(terms)
-
-
 def _truncated_mul(
     a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]
 ) -> Tuple[Fraction, ...]:
@@ -375,6 +346,22 @@ def _truncated_mul(
         a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
         a[0] * b[3] + a[3] * b[0],
     )
+
+
+def _ahat_twists(m: int) -> List[Tuple[Fraction, Fraction]]:
+    # the pairs of rhc_ahat_twist_coeffs(m, t) for t = 0, 1, 2, from one Ahat expansion
+    integrand = (Fraction(1), *_sequence_triple(ahat_series(2 * m), m))
+    e1 = (
+        Fraction(0),
+        Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m)),
+        Fraction(2 * m, factorial(4 * m)),
+        Fraction(-4 * m, factorial(4 * m)),
+    )
+    pairs = [(integrand[2], integrand[3])]
+    for _ in range(2):
+        integrand = _truncated_mul(integrand, e1)
+        pairs.append((integrand[2], integrand[3]))
+    return pairs
 
 
 def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]:
@@ -390,16 +377,7 @@ def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]
         raise ValueError("m must be >= 1")
     if twist_power not in (0, 1, 2):
         raise ValueError("only twists 1, e1, e1^2 are supported")
-    integrand = (Fraction(1), *_sequence_triple(ahat_series(2 * m), m))
-    e1 = (
-        Fraction(0),
-        Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m)),
-        Fraction(2 * m, factorial(4 * m)),
-        Fraction(-4 * m, factorial(4 * m)),
-    )
-    for _ in range(twist_power):
-        integrand = _truncated_mul(integrand, e1)
-    return integrand[2], integrand[3]
+    return _ahat_twists(m)[twist_power]
 
 
 def ahat_rhc_coeffs(m: int) -> Tuple[Fraction, Fraction]:
@@ -441,8 +419,9 @@ def mayer_integrality_check(model, k: int) -> Certificate:
     values = {}
     checks = []
     all_integral = True
+    twists = _ahat_twists(model.m)
     for twist_power, tag in ((0, "ahat"), (2, "e1^2*ahat")):
-        a, b = rhc_ahat_twist_coeffs(model.m, twist_power)
+        a, b = twists[twist_power]
         value = a * model.P2 + b * model.Q
         values[tag] = value
         scaled = scale * value
@@ -501,16 +480,6 @@ def spinh_integrand_coefficients() -> Tuple[Fraction, Fraction, Fraction]:
     if cross != 0:
         raise AssertionError(f"gamma*p1 coefficient expected to vanish, got {cross}")
     return 2 * (m2 + m1 * a1 + a11), 2 * a2, 8 * m2
-
-
-def spinh_integrand_dim8(P2sqrt_x: int, y: int, c: int) -> Fraction:
-    """Value of the dimension-8 spin^h integrality expression.
-
-    Evaluates the closed-form coefficients at integral(p1^2) = x^2,
-    integral(p2) = y and integral(gamma^2) = c^2.
-    """
-    cxx, cy, cgg = spinh_integrand_coefficients()
-    return cxx * P2sqrt_x**2 + cy * y + cgg * c**2
 
 
 def mayer_indicator_coefficients(sign: str) -> Tuple[Fraction, Fraction]:

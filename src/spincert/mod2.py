@@ -364,9 +364,6 @@ class SpaceModel:
             return self.algebra.one()
         return F2Element(self.algebra, self.sw.get(degree, 0))
 
-    def mod2_betti(self) -> Tuple[int, ...]:
-        return tuple(self.algebra.dim(d) for d in range(self.dimension + 1))
-
 
 @cache
 def wu_manifold() -> SpaceModel:
@@ -689,35 +686,6 @@ def read_document(path) -> Dict:
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     return doc
-
-
-def space_model_to_dict(model: SpaceModel) -> Dict:
-    algebra = model.algebra
-    names = algebra.names
-    non_unit = [i for i, name in enumerate(names) if name != algebra.unit]
-    products = []
-    for k, i in enumerate(non_unit):
-        for j in non_unit[k:]:
-            result = sorted(names[b] for b in _bits(algebra.mul[i][j]))
-            products.append([names[i], names[j], result])
-    sw = {str(d): sorted(names[b] for b in _bits(model.sw[d])) for d in sorted(model.sw)}
-    profile = {
-        str(d): {"free": free, "torsion": list(tors)}
-        for d, (free, tors) in model.int_profile.groups.items()
-    }
-    return {
-        "name": model.name,
-        "dimension": model.dimension,
-        "basis": [[n, d] for n, d in zip(algebra.names, algebra.degrees)],
-        "unit": algebra.unit,
-        "products": products,
-        "sw": sw,
-        "int_profile": profile,
-    }
-
-
-def space_model_to_json(model: SpaceModel) -> str:
-    return json.dumps(space_model_to_dict(model), indent=2, ensure_ascii=True) + "\n"
 
 
 def _is(value, kind) -> bool:

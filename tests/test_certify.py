@@ -262,6 +262,27 @@ class TestNonSpinh8Family:
         assert len(seen) == 101  # distinct Pontryagin numbers for distinct a
 
 
+@dataclasses.dataclass(frozen=True)
+class FourManifoldDatum:
+    """Classical closed 4-manifold data paired with a structure's p1(E)."""
+
+    name: str
+    sigma: int
+    euler: int
+    p1: int
+    p1_E: int  # 0 for a spin structure, c^2 for a spin^c structure
+
+
+FOUR_MANIFOLD_DATA = (
+    FourManifoldDatum("S^4", 0, 2, 0, 0),
+    FourManifoldDatum("S^2 x S^2", 0, 4, 0, 0),
+    FourManifoldDatum("CP^2", 1, 3, 3, 9),
+    FourManifoldDatum("CP^2 (reversed)", -1, 3, -3, -9),
+    FourManifoldDatum("CP^2 # CP^2", 2, 4, 6, 18),
+    FourManifoldDatum("K3", -16, 24, -48, 0),
+)
+
+
 class TestW4Lift:
     def test_spin_case(self):
         assert certify.w4_lift(-48, 0) == -24
@@ -288,7 +309,7 @@ class TestW4Lift:
 
     def test_parity_matches_euler_on_shipped_data(self):
         # on a closed oriented 4-manifold w4 reduces to the Euler number mod 2
-        for datum in certify.FOUR_MANIFOLD_DATA:
+        for datum in FOUR_MANIFOLD_DATA:
             lift = certify.w4_lift(datum.p1, datum.p1_E)
             assert lift % 2 == datum.euler % 2
             assert datum.p1 == 3 * datum.sigma

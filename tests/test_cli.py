@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import space_model_to_json
 from spincert import certify, cli, genus, mod2
 from spincert.cli import load_model, run
 from spincert.exact import bernoulli, odd_part
@@ -19,6 +20,7 @@ from spincert.exact import bernoulli, odd_part
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 RHC8 = str(resources.files("spincert").joinpath("data/rhc8-a0.json"))
+WU_TEXT = resources.files("spincert").joinpath("data/wu.json").read_text()
 
 
 class _Twin(str):
@@ -417,7 +419,7 @@ class TestModelLoading:
         # Kunneth sums and model checks visit declared degrees only, not every degree
         sphere = mod2.sphere_model(10**6)
         path = tmp_path / "sphere.json"
-        path.write_text(mod2.space_model_to_json(sphere))
+        path.write_text(space_model_to_json(sphere))
         code, document = run(["wu-product", "--model", str(path), "--json"])
         assert code == 0
         assert json.loads(document)["parameters"]["H4_integral"] == "0"
@@ -434,7 +436,7 @@ class TestModelLoading:
     def test_degree_zero_torsion_exit_two(self, tmp_path, torsion):
         # H^0(X; Z) is free; before the parser refused this, Z/2 failed later
         # with a universal-coefficient message about degree 1 and Z/3 loaded
-        doc = json.loads(mod2.space_model_to_json(mod2.sphere_model(2)))
+        doc = json.loads(space_model_to_json(mod2.sphere_model(2)))
         doc["int_profile"]["0"]["torsion"] = torsion
         path = tmp_path / "s2.json"
         path.write_text(json.dumps(doc))
@@ -443,7 +445,7 @@ class TestModelLoading:
         assert "int_profile[0]" in document
 
     def test_missing_field_exit_two(self, tmp_path):
-        doc = json.loads(mod2.space_model_to_json(mod2.wu_manifold()))
+        doc = json.loads(WU_TEXT)
         del doc["sw"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -479,7 +481,7 @@ class TestModelLoading:
             (
                 # data/wu.json with every product set to zero: z5 pairs with nothing
                 {
-                    **json.loads(mod2.space_model_to_json(mod2.wu_manifold())),
+                    **json.loads(WU_TEXT),
                     "products": [],
                 },
                 "field 'products': cup pairing degenerate in degree 2 (H^2 x H^3 -> H^5)",
@@ -603,7 +605,7 @@ class TestModelLoading:
         ],
     )
     def test_malformed_model_exit_two(self, tmp_path, edit, fragment):
-        doc = json.loads(mod2.space_model_to_json(mod2.wu_manifold()))
+        doc = json.loads(WU_TEXT)
         edit(doc)
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -680,6 +682,22 @@ class TestMayerCheckFlags:
         doc = json.loads(document)
         assert doc["claim"] == "mayer-integrality-consistent"
         assert doc["parameters"]["integral(ahat)"] == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_ahat_is_expanded_once(self, monkeypatch, m):
+        # twists 0 and 2 both read the one A-hat series of 2m + 1 terms
+        calls = []
+        build = genus.ahat_series
+
+        def counting(max_degree):
+            calls.append(max_degree)
+            return build(max_degree)
+
+        monkeypatch.setattr(genus, "ahat_series", counting)
+        q = genus.l_coefficients(m).s_2m.denominator
+        code, _ = run(["mayer-check", "--m", str(m), "--k", "1", "--p2", "0", "--q", str(q)])
+        assert code in (0, 1)
+        assert calls == [2 * m]
 
     def test_inconsistent_numbers_rejected(self):
         code, document = run(["mayer-check", "--m", "1", "--k", "1", "--p2", "1", "--q", "1"])

@@ -79,7 +79,7 @@ class TestBernoulli:
 
     def test_against_akiyama_tanigawa(self):
         oracle = _bernoulli_akiyama_tanigawa(64)
-        for j in range(32, 0, -1):  # reads the table before and after it grows
+        for j in range(32, 0, -1):
             assert exact.bernoulli(j) == abs(oracle[2 * j])
 
     def test_von_staudt_clausen_valuation(self):

@@ -120,7 +120,7 @@ def _tuple_power_sums(n):
 
 def _tuple_genus_terms(series, n):
     """The .terms of K_1..K_n, computed over exponent tuples."""
-    logs = genus._series_log(list(series.coefficients), n)
+    logs = genus._series_log(series.coefficients, n)
     sums = _tuple_power_sums(n)
     parts = [{(0,) * n: Fraction(1)}]
     for j in range(1, n + 1):
@@ -140,6 +140,62 @@ def _tuple_genus_terms(series, n):
         }
         for part in parts[1:]
     ]
+
+
+# -- slow oracle for the series: multiply and invert -----------------------
+#
+# The library builds each series in one quotient pass.  This oracle builds
+# sqrt(z)/tanh(sqrt(z)) as the cosh-type series times the inverse of the
+# sinh-type one, and the A-hat series as the inverse of the sinh-type series
+# at z/4, in two separate O(n^2) passes.
+
+
+def _series_mul(a, b, n):
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _series_inverse(a, n):
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        out[k] = -sum(a[i] * out[k - i] for i in range(1, k + 1))
+    return out
+
+
+def _signature_series_by_inversion(n):
+    num = [Fraction(1, factorial(2 * k)) for k in range(n + 1)]
+    den = [Fraction(1, factorial(2 * k + 1)) for k in range(n + 1)]
+    return tuple(_series_mul(num, _series_inverse(den, n), n))
+
+
+def _ahat_series_by_inversion(n):
+    den = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(n + 1)]
+    return tuple(_series_inverse(den, n))
+
+
+# -- the first K-theoretic twist class, expanded in p-classes ---------------
+
+
+def twist_class_e1(max_degree):
+    """First K-theoretic twist class, 2*sum_j (cosh y_j - 1), in p-classes.
+
+    With z_j = y_j^2 this is 2 * sum_{r>=1} ps_r(z) / (2r)! where ps_r is
+    the r-th power sum; the degree-4 part is p_1.  The slow oracle of
+    genus.rhc_ahat_twist_coeffs, which reads two coefficients in closed form.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    n = max_degree // 4
+    names = [f"p{i}" for i in range(1, n + 1)]
+    terms = {}
+    for r, ps in enumerate(genus._power_sums(n), 1):
+        terms.update(
+            (genus._named(m, names), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items()
+        )
+    return PP(terms)
 
 
 # -- slow oracles for the closed-form coefficients -------------------------
@@ -181,7 +237,7 @@ def _twist_coeffs_by_expansion(m, twist_power):
     integrand = {(): Fraction(1)}
     for poly in genus.genus_polynomials(genus.ahat_series(2 * m), 2 * m):
         integrand.update(_engine_to_partitions(poly))
-    e1 = _engine_to_partitions(genus.twist_class_e1(8 * m))
+    e1 = _engine_to_partitions(twist_class_e1(8 * m))
     for _ in range(twist_power):
         integrand = _truncated_mul(integrand, e1, 2 * m)
     return (
@@ -234,6 +290,18 @@ class TestSeries:
     def test_ahat_series_low_terms(self):
         coeffs = genus.ahat_series(2).coefficients
         assert coeffs == (1, Fraction(-1, 24), Fraction(7, 5760))
+
+    @pytest.mark.parametrize(
+        "maker, oracle",
+        [
+            (genus.signature_series, _signature_series_by_inversion),
+            (genus.ahat_series, _ahat_series_by_inversion),
+        ],
+        ids=["signature", "ahat"],
+    )
+    def test_quotient_matches_multiply_and_invert(self, maker, oracle):
+        for n in range(65):
+            assert maker(n).coefficients == oracle(n), n
 
     def test_mayer_series(self):
         coeffs = genus.mayer_series(3).coefficients
@@ -478,13 +546,13 @@ class TestRHCIntegrals:
 class TestTwistClass:
     def test_degree_parts(self):
         # no constant term, p1 in degree 4, p1^2/12 - p2/6 in degree 8
-        assert genus.twist_class_e1(8) == PP(
+        assert twist_class_e1(8) == PP(
             {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
         )
 
     def test_results_are_not_shared(self):
-        genus.twist_class_e1(8).terms.clear()
-        assert genus.twist_class_e1(8) == PP(
+        twist_class_e1(8).terms.clear()
+        assert twist_class_e1(8) == PP(
             {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
         )
 
@@ -498,7 +566,7 @@ class TestTwistClass:
                 exps[i] = r
                 raw[tuple(exps)] = Fraction(2, factorial(2 * r))
         reduced = _to_elementary(raw, n_roots, n)
-        assert reduced == _engine_to_partitions(genus.twist_class_e1(8))
+        assert reduced == _engine_to_partitions(twist_class_e1(8))
 
 
 class TestMayerIntegrality:
@@ -560,9 +628,15 @@ class TestDim8Integrand:
         cxx, cy, cgg = genus.spinh_integrand_coefficients()
         assert top == {P1_2: cxx, P2: cy, (("gamma", 2),): cgg}
 
+    @staticmethod
+    def _value(x, y, c):
+        # the integrand at integral(p1^2) = x^2, integral(p2) = y, integral(gamma^2) = c^2
+        cxx, cy, cgg = genus.spinh_integrand_coefficients()
+        return cxx * x**2 + cy * y + cgg * c**2
+
     def test_values(self):
-        assert genus.spinh_integrand_dim8(0, 0, 0) == 0
-        assert genus.spinh_integrand_dim8(240, 8235, 0) == Fraction(-8229, 48)
+        assert self._value(0, 0, 0) == 0
+        assert self._value(240, 8235, 0) == Fraction(-8229, 48)
 
     def test_congruence_reduction_on_family(self):
         # whenever 7y - x^2 = 45, 48 * integrand equals c^2 - y + 6 exactly
@@ -571,7 +645,7 @@ class TestDim8Integrand:
             y = 4032 * a * a - 11520 * a + 8235
             assert 7 * y - x * x == 45
             for c in range(4):
-                value = 48 * genus.spinh_integrand_dim8(x, y, c)
+                value = 48 * self._value(x, y, c)
                 assert value == c * c - y + 6
 
 
@@ -651,7 +725,7 @@ class TestPontryaginPolynomial:
     "call, message",
     [
         (lambda: genus.genus_polynomials(genus.signature_series(2), 0), "n must be >= 1"),
-        (lambda: genus.twist_class_e1(-1), "max_degree must be >= 0"),
+        (lambda: twist_class_e1(-1), "max_degree must be >= 0"),
         (lambda: genus.rhc_ahat_twist_coeffs(0, 0), "m must be >= 1"),
         (lambda: genus.s2m_bernoulli(0), "m must be >= 1"),
     ],

@@ -9,6 +9,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import space_model_to_json
 from spincert import certify, mod2
 from spincert.certificates import CertificateError
 from spincert.mod2 import (
@@ -189,7 +190,7 @@ class TestWuManifold:
         assert not wu.w(2).is_zero()
 
     def test_betti_vector(self):
-        assert wu_manifold().mod2_betti() == (1, 0, 1, 1, 0, 1)
+        assert tuple(wu_manifold().algebra.dim(d) for d in range(6)) == (1, 0, 1, 1, 0, 1)
 
     def test_w4_vanishes(self):
         assert wu_manifold().w(4).is_zero()
@@ -276,9 +277,9 @@ class TestKunneth:
     def test_unit_law(self):
         wu = wu_manifold()
         product = kunneth(wu, point_model())
-        assert product.mod2_betti() == wu.mod2_betti()
         assert product.dimension == wu.dimension
         for degree in range(6):
+            assert product.algebra.dim(degree) == wu.algebra.dim(degree)
             assert len(product.w(degree).support) == len(wu.w(degree).support)
 
     def test_dimension_count(self):
@@ -604,25 +605,25 @@ class TestModelDocuments:
         assert isinstance(model, mod2.SpaceModel)
 
     def test_basis_at_the_cap_loads(self):
-        doc = json.loads(mod2.space_model_to_json(projective_space(31, 2)))
+        doc = json.loads(space_model_to_json(projective_space(31, 2)))
         assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS == 32
 
     def test_shipped_wu_document_matches_constructor(self):
         shipped = resources.files("spincert").joinpath("data/wu.json").read_bytes()
-        assert mod2.space_model_to_json(wu_manifold()).encode() == shipped
+        assert space_model_to_json(wu_manifold()).encode() == shipped
 
     def test_round_trip(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(space_model_to_json(wu_manifold()))
         assert mod2.space_model_from_dict(doc) == wu_manifold()
 
     def test_missing_field_named(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         del doc["unit"]
         with pytest.raises(ModelError, match="'unit'"):
             mod2.space_model_from_dict(doc)
 
     def test_bad_products_entry_named(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["products"][1] = ["z2", "z3"]
         with pytest.raises(ModelError, match=r"products\[1\]"):
             mod2.space_model_from_dict(doc)
@@ -660,7 +661,7 @@ class TestModelDocuments:
         ids=["dimension-true", "degree-false", "free-true", "torsion-float"],
     )
     def test_non_integer_numbers_refused(self, edit, field):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         edit(doc)
         with pytest.raises(ModelError, match=field):
             mod2.space_model_from_dict(doc)
@@ -674,7 +675,7 @@ class TestModelDocuments:
         ids=["sw", "products"],
     )
     def test_name_lists_hold_strings(self, edit, field):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         edit(doc)
         with pytest.raises(ModelError, match=field):
             mod2.space_model_from_dict(doc)
@@ -686,7 +687,7 @@ class TestModelDocuments:
         ids=["underscore", "spaces", "plus", "leading-zero", "decimal-point", "newline"],
     )
     def test_degree_keys_are_canonical(self, field, key, spelling):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc[field][spelling.format(key)] = doc[field].pop(key)
         with pytest.raises(ModelError, match=f"'{field}': degree key"):
             mod2.space_model_from_dict(doc)
@@ -694,37 +695,37 @@ class TestModelDocuments:
     @pytest.mark.parametrize("field", ["sw", "int_profile"])
     def test_non_ascii_degree_key_refused(self, field):
         # int() reads ARABIC-INDIC DIGIT THREE as 3
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc[field]["\u0663"] = doc[field].pop("3")
         with pytest.raises(ModelError, match=f"'{field}': degree key"):
             mod2.space_model_from_dict(doc)
 
     def test_negative_degree_key_reaches_range_checks(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["sw"]["-1"] = ["z2"]
         with pytest.raises(ModelError, match="positive-degree components only"):
             mod2.space_model_from_dict(doc)
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["int_profile"]["-1"] = {"free": 1, "torsion": []}
         with pytest.raises(ModelError, match="malformed integral data in degree -1"):
             mod2.space_model_from_dict(doc)
 
     @pytest.mark.parametrize("dimension", [0, 4, 6, 1000])
     def test_top_degree_must_equal_dimension(self, dimension):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["dimension"] = dimension
         message = f"top basis degree 5 differs from the dimension {dimension}"
         with pytest.raises(ModelError, match=message):
             mod2.space_model_from_dict(doc)
 
     def test_degree_zero_torsion_refused(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["int_profile"]["0"]["torsion"] = [3]
         with pytest.raises(ModelError, match=r"'int_profile\[0\]': H\^0 is free"):
             mod2.space_model_from_dict(doc)
 
     def test_unknown_sw_name_named(self):
-        doc = json.loads(mod2.space_model_to_json(wu_manifold()))
+        doc = json.loads(WU_TEXT)
         doc["sw"]["2"] = ["nope"]
         with pytest.raises(ModelError, match=r"sw\[2\]"):
             mod2.space_model_from_dict(doc)
@@ -785,7 +786,7 @@ class TestModelDocuments:
         ],
     )
     def test_no_closed_manifold_has_the_data(self, model, edit, message):
-        doc = json.loads(mod2.space_model_to_json(model))
+        doc = json.loads(space_model_to_json(model))
         edit(doc)
         with pytest.raises(ModelError, match=re.escape(message)):
             mod2.space_model_from_dict(doc)
@@ -798,5 +799,5 @@ class TestModelDocuments:
         ids=lambda model: model.name,
     )
     def test_closed_manifolds_load(self, model):
-        doc = json.loads(mod2.space_model_to_json(model))
+        doc = json.loads(space_model_to_json(model))
         assert mod2.space_model_from_dict(doc) == model
