@@ -117,9 +117,9 @@ def render_text(doc: Dict) -> str:
 # degree 24 takes 0.23-0.32 s for the whole process, and the engine's time about
 # doubles every two degrees
 GENUS_MAX_DEGREE = 24
-# s-coeffs --m 64 takes about 0.4 s and mayer-check about 0.8 s for the whole
-# process; the series of 2m + 1 terms and its logarithm cost about six times more
-# per doubling of m
+# s-coeffs --m 64 takes about 0.3 s and mayer-check about 0.5 s for the whole
+# process; the series of 2m + 1 terms and its log-derivative cost five to seven
+# times more per doubling of m
 M_MAX = 64
 # pin-table builds one row per dimension: 100000 rows take about 0.7 s and 5 MB
 PIN_TABLE_MAX_DIM = 100000

@@ -10,10 +10,11 @@ ever appear; z has weight 4 and p_i = e_i(z_1, z_2, ...) has weight 4i.
 
 The engine computes K_j by the log/power-sum route: log Q summed over
 the roots is g = sum_k l_k ps_k, with the power sums ps_k written in the
-p_i by Newton's identities, and the total class exp(g) follows from the
-recurrence j K_j = sum_k k l_k ps_k K_(j-k).  The naive many-root
-expansion is kept out of the library on purpose: it serves as the
-independent test oracle.
+p_i by Newton's identities.  Only the log-derivative d = zQ'/Q, whose
+coefficients are d_k = k l_k, is ever read: it is the quotient of the
+series k q_k by Q, and the total class exp(g) follows from the recurrence
+j K_j = sum_k d_k ps_k K_(j-k).  The naive many-root expansion is kept
+out of the library on purpose: it serves as the independent test oracle.
 
 Built-in series:
 
@@ -36,24 +37,6 @@ from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
 from .exact import bernoulli
 
 Monomial = Tuple[Tuple[str, int], ...]
-
-
-def class_degree(name: str) -> int:
-    """Cohomological degree of a formal generator (p_i has degree 4i)."""
-    if name.startswith("p") and name[1:].isdigit() and int(name[1:]) >= 1:
-        return 4 * int(name[1:])
-    raise ValueError(f"unknown characteristic-class generator {name!r}")
-
-
-def _mono_from_mapping(spec: Mapping[str, int]) -> Monomial:
-    items = []
-    for name, exp in spec.items():
-        class_degree(name)  # validates the name
-        if exp < 0:
-            raise ValueError(f"negative exponent for {name!r}")
-        if exp > 0:
-            items.append((name, int(exp)))
-    return tuple(sorted(items))
 
 
 def _mono_weight(mono: Monomial) -> int:
@@ -80,14 +63,7 @@ class PontryaginPolynomial:
                     clean[mono] = coeff
         self.terms = clean
 
-    @staticmethod
-    def monomial(spec: Mapping[str, int], coeff: Fraction | int = 1) -> "PontryaginPolynomial":
-        return PontryaginPolynomial({_mono_from_mapping(spec): Fraction(coeff)})
-
     # -- queries -------------------------------------------------------
-
-    def coefficient(self, spec: Mapping[str, int]) -> Fraction:
-        return self.terms.get(_mono_from_mapping(spec), Fraction(0))
 
     def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -168,12 +144,10 @@ def _series_quotient(num: List[Fraction | int], den: List[Fraction]) -> Tuple[Fr
     return tuple(out)
 
 
-def _series_log(a: Tuple[Fraction, ...], n: int) -> List[Fraction]:
-    # c = log a with a_0 = 1, via k*a_k = sum_{i<=k} i*c_i*a_{k-i}; a has n + 1 terms
-    out = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        out[k] = (k * a[k] - sum(i * out[i] * a[k - i] for i in range(1, k))) / k
-    return out
+def _log_derivative(series: CharacteristicSeries, n: int) -> Tuple[Fraction, ...]:
+    # d = zQ'/Q through z^n: d_k = k l_k with l = log Q, and d_0 = 0
+    q = series.coefficients
+    return _series_quotient([k * q[k] for k in range(n + 1)], q)
 
 
 def signature_series(max_degree: int) -> CharacteristicSeries:
@@ -249,13 +223,14 @@ def genus_polynomials(
             f"series tracked through degree {series.max_degree}, need {n}"
         )
     # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
-    # dK = dg K reads j K_j = sum_{k<=j} k l_k ps_k K_(j-k).  K_j is kept as
-    # an integer bucket nums[j] over the denominator dens[j], in lowest terms.
-    logs = _series_log(series.coefficients, n)
+    # dK = dg K reads j K_j = sum_{k<=j} d_k ps_k K_(j-k), where d_k = k l_k
+    # are the coefficients of zQ'/Q.  K_j is kept as an integer bucket
+    # nums[j] over the denominator dens[j], in lowest terms.
+    d = _log_derivative(series, n)
     sums = _power_sums(n)
     nums, dens = [{0: 1}], [1]
     for j in range(1, n + 1):
-        weights = [k * logs[k] / (j * dens[j - k]) for k in range(1, j + 1)]
+        weights = [d[k] / (j * dens[j - k]) for k in range(1, j + 1)]
         den = lcm(*(w.denominator for w in weights))
         acc: Bucket = {}
         get = acc.get
@@ -298,13 +273,14 @@ def _sequence_triple(
     p_m^2 and p_{2m}: every other p_i is set to zero and degrees above 8m
     are dropped.  There the only nonzero power sums are
     ps_m = (-1)^(m-1) m p_m and ps_2m = m p_m^2 - 2m p_{2m} (Newton's
-    identities), so with l = log Q the total class is
-    exp(l_m ps_m + l_2m ps_2m) = 1 + g + g^2/2 (Hirzebruch, Topological
-    Methods in Algebraic Geometry, section 1).
+    identities), so with l = log Q the total class is exp(g) = 1 + g + g^2/2
+    for g = l_m ps_m + l_2m ps_2m (Hirzebruch, Topological Methods in
+    Algebraic Geometry, section 1).  In d = zQ'/Q, d_k = k l_k, that is
+    s_m = (-1)^(m-1) d_m, s_2m = -d_2m and s_mm = (d_2m + s_m^2)/2.
     """
-    logs = _series_log(series.coefficients, 2 * m)
-    c_m = (-1) ** (m - 1) * m * logs[m]
-    return c_m, m * logs[2 * m] + c_m * c_m / 2, -2 * m * logs[2 * m]
+    d = _log_derivative(series, 2 * m)
+    s_m = (-1) ** (m - 1) * d[m]
+    return s_m, (d[2 * m] + s_m * s_m) / 2, -d[2 * m]
 
 
 @lru_cache(maxsize=None)
@@ -336,32 +312,16 @@ def s2m_bernoulli(m: int) -> Fraction:
 # -- twist class and rationally-highly-connected integrals --------------
 
 
-def _truncated_mul(
-    a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]
-) -> Tuple[Fraction, ...]:
-    # product in the basis (1, p_m, p_m^2, p_2m), dropping degrees above 8m
-    return (
-        a[0] * b[0],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-        a[0] * b[3] + a[3] * b[0],
-    )
-
-
 def _ahat_twists(m: int) -> List[Tuple[Fraction, Fraction]]:
-    # the pairs of rhc_ahat_twist_coeffs(m, t) for t = 0, 1, 2, from one Ahat expansion
-    integrand = (Fraction(1), *_sequence_triple(ahat_series(2 * m), m))
-    e1 = (
-        Fraction(0),
-        Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m)),
-        Fraction(2 * m, factorial(4 * m)),
-        Fraction(-4 * m, factorial(4 * m)),
-    )
-    pairs = [(integrand[2], integrand[3])]
-    for _ in range(2):
-        integrand = _truncated_mul(integrand, e1)
-        pairs.append((integrand[2], integrand[3]))
-    return pairs
+    # the pairs of rhc_ahat_twist_coeffs(m, t) for t = 0, 1, 2 in closed form.
+    # Ahat = 1 + a1 p_m + a11 p_m^2 + a2 p_2m and, by Newton's identities,
+    # e1 = c1 p_m + c2 p_m^2 + c3 p_2m.  e1 has no constant term, so
+    # e1 Ahat = c1 p_m + (c1 a1 + c2) p_m^2 + c3 p_2m and e1^2 Ahat = c1^2 p_m^2:
+    # integral(e1^2 Ahat) = c1^2 P2.
+    a1, a11, a2 = _sequence_triple(ahat_series(2 * m), m)
+    c1 = Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m))
+    c2, c3 = Fraction(2 * m, factorial(4 * m)), Fraction(-4 * m, factorial(4 * m))
+    return [(a11, a2), (c1 * a1 + c2, c3), (c1 * c1, Fraction(0))]
 
 
 def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]:

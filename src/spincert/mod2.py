@@ -676,13 +676,17 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
 def read_document(path) -> Dict:
     """The JSON object in a model file or package resource; a repeated key is refused."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ModelError(f"cannot read model file {str(path)!r}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ModelError(f"model file {str(path)!r} is not UTF-8: {err}") from err
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ModelError(f"model file {str(path)!r} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ModelError(f"model file {str(path)!r} nests too deeply to parse") from err
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     return doc

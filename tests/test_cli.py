@@ -59,6 +59,7 @@ GOLDEN_RUNS = [
     ("genus-ahat-12.json", ["genus", "--series", "ahat", "--degree", "12", "--json"], 0),
     ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
     ("mayer-check-rhc8-a0.json", ["mayer-check", "--model", RHC8, "--k", "1", "--json"], 1),
+    ("mayer-check-m2-k3.txt", ["mayer-check", "--m", "2", "--k", "3", "--p2", "45", "--q", "1230"], 1),
 ]
 
 
@@ -652,6 +653,24 @@ class TestModelLoading:
         path.write_text("{not json")
         code, document = run(["wu-product", "--model", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [["wu-product"], ["mayer-check", "--k", "1"]])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100000 + b"]" * 100000, "nests too deeply to parse"),
+            ('{"name": "caf\xe9"}'.encode("latin-1"), "is not UTF-8: 'utf-8' codec can't decode"),
+        ],
+        ids=["nested-100000-deep", "latin-1"],
+    )
+    def test_unparsable_file_is_refused_by_name(self, tmp_path, command, as_json, content, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        argv = [*command, "--model", str(path), *(["--json"] if as_json else [])]
+        code, document = run(argv)
+        assert code == 2
+        assert document.startswith(f"spincert {command[0]}: error: model file {str(path)!r} {message}")
 
     def test_missing_file_exit_two(self):
         code, document = run(["wu-product", "--model", "/no/such/file.json"])

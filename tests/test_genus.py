@@ -99,10 +99,20 @@ def _oracle_genus(series, n, n_roots):
 
 # -- slow oracle for the packed monomial keys ------------------------------
 #
-# The engine's recurrence j K_j = sum_k k l_k ps_k K_(j-k) with each monomial
+# The engine's recurrence j K_j = sum_k d_k ps_k K_(j-k) with each monomial
 # p_1^e_1 ... p_n^e_n keyed by its exponent tuple (e_1, ..., e_n) and rational
 # coefficients, so a product of monomials adds tuples entry by entry.  The
-# library packs the same vectors into ints; this keeps the unpacked form.
+# library packs the same vectors into ints; this keeps the unpacked form.  The
+# library reads d_k = k l_k from the quotient zQ'/Q; this takes l = log Q from
+# its own logarithm recurrence and multiplies back by k.
+
+
+def _series_log(a, n):
+    # c = log a with a_0 = 1, via k*a_k = sum_{i<=k} i*c_i*a_{k-i}; a has n + 1 terms
+    out = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        out[k] = (k * a[k] - sum(i * out[i] * a[k - i] for i in range(1, k))) / k
+    return out
 
 
 def _tuple_power_sums(n):
@@ -120,7 +130,7 @@ def _tuple_power_sums(n):
 
 def _tuple_genus_terms(series, n):
     """The .terms of K_1..K_n, computed over exponent tuples."""
-    logs = genus._series_log(series.coefficients, n)
+    logs = _series_log(series.coefficients, n)
     sums = _tuple_power_sums(n)
     parts = [{(0,) * n: Fraction(1)}]
     for j in range(1, n + 1):
@@ -208,10 +218,53 @@ def twist_class_e1(max_degree):
 def _l_coefficients_by_expansion(m):
     polys = genus.genus_polynomials(genus.signature_series(2 * m), 2 * m)
     return genus.SCoefficients(
-        s_m=polys[m - 1].coefficient({f"p{m}": 1}),
-        s_mm=polys[2 * m - 1].coefficient({f"p{m}": 2}),
-        s_2m=polys[2 * m - 1].coefficient({f"p{2 * m}": 1}),
+        s_m=polys[m - 1].terms.get(((f"p{m}", 1),), Fraction(0)),
+        s_mm=polys[2 * m - 1].terms.get(((f"p{m}", 2),), Fraction(0)),
+        s_2m=polys[2 * m - 1].terms.get(((f"p{2 * m}", 1),), Fraction(0)),
     )
+
+
+# -- slow oracle for the twist pairs: products of 4-vectors -----------------
+#
+# The library writes the three pairs of _ahat_twists down in closed form.  This
+# oracle multiplies the A-hat vector by e1 twice in the basis (1, p_m, p_m^2,
+# p_2m), with the A-hat coefficients read from the logarithm above.
+
+
+@lru_cache(maxsize=None)  # one logarithm serves every m up to 64
+def _ahat_log():
+    return _series_log(genus.ahat_series(128).coefficients, 128)
+
+
+def _ahat_triple_by_log(m):
+    logs = _ahat_log()
+    c_m = (-1) ** (m - 1) * m * logs[m]
+    return c_m, m * logs[2 * m] + c_m * c_m / 2, -2 * m * logs[2 * m]
+
+
+def _four_vector_mul(a, b):
+    # product in the basis (1, p_m, p_m^2, p_2m), dropping degrees above 8m
+    return (
+        a[0] * b[0],
+        a[0] * b[1] + a[1] * b[0],
+        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+        a[0] * b[3] + a[3] * b[0],
+    )
+
+
+def _ahat_twists_by_products(m):
+    integrand = (Fraction(1), *_ahat_triple_by_log(m))
+    e1 = (
+        Fraction(0),
+        Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m)),
+        Fraction(2 * m, factorial(4 * m)),
+        Fraction(-4 * m, factorial(4 * m)),
+    )
+    pairs = [(integrand[2], integrand[3])]
+    for _ in range(2):
+        integrand = _four_vector_mul(integrand, e1)
+        pairs.append((integrand[2], integrand[3]))
+    return pairs
 
 
 def _truncated_mul(a, b, max_weight, weight=lambda g: g):
@@ -302,6 +355,16 @@ class TestSeries:
     def test_quotient_matches_multiply_and_invert(self, maker, oracle):
         for n in range(65):
             assert maker(n).coefficients == oracle(n), n
+
+    @pytest.mark.parametrize(
+        "maker", [genus.signature_series, genus.ahat_series, genus.mayer_series]
+    )
+    def test_log_derivative_matches_the_logarithm(self, maker):
+        # d = zQ'/Q has d_k = k l_k, with l = log Q from the oracle's recurrence
+        for n in range(65):
+            series = maker(n)
+            logs = _series_log(series.coefficients, n)
+            assert genus._log_derivative(series, n) == tuple(k * l for k, l in enumerate(logs)), n
 
     def test_mayer_series(self):
         coeffs = genus.mayer_series(3).coefficients
@@ -538,6 +601,10 @@ class TestRHCIntegrals:
         )
         assert genus.rhc_ahat_twist_coeffs(m, power) == expected
 
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_closed_form_matches_four_vector_products(self, m):
+        assert genus._ahat_twists(m) == _ahat_twists_by_products(m)
+
     def test_twisted_coefficients_dim8_goldens(self):
         assert genus.rhc_ahat_twist_coeffs(1, 1) == (Fraction(1, 24), Fraction(-1, 6))
         assert genus.rhc_ahat_twist_coeffs(1, 2) == (Fraction(1), Fraction(0))
@@ -687,10 +754,9 @@ class TestPontryaginPolynomial:
         poly = PP({P1: Fraction(0), P2: 0})
         assert poly.terms == {}
         assert poly.is_zero()
-        assert PP.monomial({"p1": 1}, 0).is_zero()
 
     def test_evaluate_requires_all_generators(self):
-        poly = PP.monomial({"p1": 1, "p2": 1})
+        poly = PP({(("p1", 1), ("p2", 1)): Fraction(1)})
         with pytest.raises(ValueError):
             poly.evaluate({"p1": 1})
 
@@ -710,15 +776,6 @@ class TestPontryaginPolynomial:
     )
     def test_str_of_constants_and_unit_coefficients(self, terms, text):
         assert str(PP(terms)) == text
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="negative exponent for 'p1'"):
-            PP.monomial({"p1": -1})
-
-    def test_unknown_generator_rejected(self):
-        for name in ("q3", "p0", "gamma", "e"):
-            with pytest.raises(ValueError):
-                PP.monomial({name: 1})
 
 
 @pytest.mark.parametrize(
