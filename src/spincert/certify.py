@@ -378,9 +378,12 @@ class GuaranteeRow:
     ``cohen_k`` is n - alpha(n), the immersion codimension.  The
     orientable guarantee is sharpened in low dimensions (spin through
     dimension 3, spin^c in dimension 4, spin^h through dimension 7).
-    For the pin guarantee the k = 3 mod 4 case follows the tabulated
-    pin^{k+} assignment, which is what the orientability computation for
-    the twisted normal bundle gives.
+    The pin guarantee twists the rank-k normal bundle nu of the
+    immersion into an orientable bundle E: nu ox det nu for odd k, whose
+    w_1 is (k + 1) w_1 = 0, and (nu ox det nu) + det nu of rank k + 1 for
+    even k.  So pin_k is k for odd k and k + 1 for even k.  The sign is
+    '+' exactly when w_2(E) = w_2 + w_1^2, which holds for k = 2 and
+    3 mod 4 (``mod2.tensor_with_det`` and ``mod2.twist_then_sum``).
     """
 
     dimension: int
@@ -418,15 +421,8 @@ def guaranteed_structures(n: int) -> GuaranteeRow:
         orientable_k = 3
     else:
         orientable_k = k
-    residue = k % 4
-    if residue == 1:
-        pin_k, sign = k, "-"
-    elif residue == 3:
-        pin_k, sign = k, "+"
-    elif residue == 0:
-        pin_k, sign = k + 1, "-"
-    else:
-        pin_k, sign = k + 1, "+"
+    pin_k = k if k % 2 else k + 1
+    sign = "+" if k % 4 in (2, 3) else "-"
     return GuaranteeRow(
         dimension=n,
         cohen_k=k,
@@ -454,13 +450,30 @@ def structure_certificate(k: int, dimension: int, basis: str) -> Certificate:
     return _spin_k(k, dimension, Check("basis of the claim", basis, None, "recorded", True))
 
 
-def _established_spin_k(cert: Certificate, role: str) -> int:
-    if cert.verdict != ESTABLISHED:
-        raise CertificateError(f"{role} certificate does not carry an established claim")
+def _premise(cert: Certificate, role: str, verdict: str) -> Tuple[int, int]:
+    """(k, dimension) of a combinator's input, refused unless it is complete.
+
+    The input must carry ``verdict`` with every check passed, claim spin^k
+    (not-spin^k for an exclusion) for its parameter k, an int >= 1, and
+    record its dimension as an int >= 0: nothing is filled in.
+    """
+    if cert.verdict != verdict:
+        raise CertificateError(f"{role} certificate does not carry the verdict {verdict!r}")
+    failed = [c.name for c in cert.checks if not c.passed]
+    if failed:
+        raise CertificateError(f"{role} certificate has failed checks: {failed}")
     k = cert.parameters.get("k")
-    if not isinstance(k, int) or cert.claim != spin_label(k):
-        raise CertificateError(f"{role} certificate does not claim a spin^k structure")
-    return k
+    prefix, verb = ("not-", "exclude") if verdict == EXCLUDED else ("", "establish")
+    if not _is_count(k) or k < 1 or cert.claim != prefix + spin_label(k):
+        raise CertificateError(f"{role} certificate does not {verb} a spin^k structure")
+    dimension = cert.parameters.get("dimension")
+    if not _is_count(dimension):
+        raise CertificateError(f"{role} certificate records no dimension (an int >= 0)")
+    return k, dimension
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def product_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
@@ -470,20 +483,17 @@ def product_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
     spin^{k+1}.  Only existence propagates; a product of structures can
     fail to exist even when both factors carry one.
     """
-    ka = _established_spin_k(cert_a, "first")
-    kb = _established_spin_k(cert_b, "second")
+    ka, da = _premise(cert_a, "first", ESTABLISHED)
+    kb, db = _premise(cert_b, "second", ESTABLISHED)
     if ka == 1:
         k, rule = kb, "spin factor absorbed"
     elif kb == 1:
         k, rule = ka, "spin factor absorbed"
     else:
         k, rule = ka + kb, "exponents add"
-    dimension = cert_a.parameters.get("dimension", 0) + cert_b.parameters.get(
-        "dimension", 0
-    )
     return _spin_k(
         k,
-        dimension,
+        da + db,
         Check("factor claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
         Check("product rule", rule, None, "recorded", True),
     )
@@ -493,17 +503,18 @@ def product_factor_combinator(
     product_cert: Certificate, spin_factor_cert: Certificate
 ) -> Certificate:
     """Existence on a factor: if M is spin and M x N is spin^k, so is N."""
-    k = _established_spin_k(product_cert, "product")
-    k_factor = _established_spin_k(spin_factor_cert, "factor")
+    k, dimension = _premise(product_cert, "product", ESTABLISHED)
+    k_factor, factor_dimension = _premise(spin_factor_cert, "factor", ESTABLISHED)
     if k_factor != 1:
         raise CertificateError("factor reduction needs the known factor to be spin")
-    dimension = product_cert.parameters.get("dimension", 0) - spin_factor_cert.parameters.get(
-        "dimension", 0
-    )
+    if factor_dimension > dimension:
+        raise CertificateError(
+            f"the spin factor's dimension {factor_dimension} exceeds the product's {dimension}"
+        )
     claims = [product_cert.claim, spin_factor_cert.claim]
     return _spin_k(
         k,
-        dimension,
+        dimension - factor_dimension,
         Check("input claims", claims, None, "recorded", True),
         Check("factor rule", "spin factor removed", None, "recorded", True),
     )
@@ -515,10 +526,8 @@ def connected_sum_combinator(cert_a: Certificate, cert_b: Certificate) -> Certif
     For equal k the sum is again spin^k; for different exponents the
     smaller structure is first induced up to the larger rank.
     """
-    ka = _established_spin_k(cert_a, "first")
-    kb = _established_spin_k(cert_b, "second")
-    da = cert_a.parameters.get("dimension")
-    db = cert_b.parameters.get("dimension")
+    ka, da = _premise(cert_a, "first", ESTABLISHED)
+    kb, db = _premise(cert_b, "second", ESTABLISHED)
     if da != db:
         raise CertificateError(
             f"connected sum needs equal dimensions, got {da} and {db}"
@@ -543,22 +552,17 @@ def klein_product_pin_obstruction(cert: Certificate) -> Certificate:
     conditions agree, and w_2(K) = 0 lets any such structure restrict to
     a spin^k structure on M.
     """
-    if cert.verdict != EXCLUDED:
-        raise CertificateError("input certificate must carry an established exclusion")
-    k = cert.parameters.get("k")
-    if not isinstance(k, int) or cert.claim != f"not-{spin_label(k)}":
-        raise CertificateError("input certificate does not exclude a spin^k structure")
+    k, factor_dimension = _premise(cert, "input", EXCLUDED)
     if cert.parameters.get("orientable") is not True:
         raise CertificateError("the argument needs the excluded factor to be orientable")
-    dimension = cert.parameters.get("dimension", 0) + 2
     plus, minus = pin_label(k, "+"), pin_label(k, "-")
     return Certificate(
         claim=f"not-{plus}-and-not-{minus}",
         parameters={
             "k": k,
-            "dimension": dimension,
+            "dimension": factor_dimension + 2,
             "factor_claim": cert.claim,
-            "factor_dimension": cert.parameters.get("dimension"),
+            "factor_dimension": factor_dimension,
         },
         checks=[
             Check(

@@ -3,9 +3,10 @@
 Two carriers live here: finite algebras with an explicit multiplication
 table (cohomology rings of concrete manifold models, with Kunneth
 products and the degree-4 integral-lift test), and free polynomial
-algebras over F2 on w_1..w_k for symbolic bundle identities (line-bundle
-twists and Whitney sums).  Integral cohomology is always declared input
-data, never computed.
+algebras over F2 on w_1..w_k, where a bundle's total Stiefel-Whitney
+class is one polynomial, so a Whitney sum with a line bundle is one
+product and a line-bundle twist one sum.  Integral cohomology is always
+declared input data, never computed.
 """
 
 from __future__ import annotations
@@ -560,7 +561,12 @@ class F2Poly:
 
 
 def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
-    """Free SW algebra on w_1..w_k (deg w_i = i), truncated at degree k + 2."""
+    """Free SW algebra on w_1..w_k (deg w_i = i), truncated at degree k + 2.
+
+    The identities below read components of degree at most k + 1, and a
+    product never feeds a dropped monomial back into a lower degree, so the
+    truncation loses nothing they read.
+    """
     if k < 1:
         raise ValueError("rank must be >= 1")
     gens = [(f"w{i}", i) for i in range(1, k + 1)]
@@ -570,69 +576,56 @@ def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
 
 @dataclass(frozen=True)
 class SymbolicSW:
-    """Total SW class of a rank-k bundle in a free F2 polynomial algebra."""
+    """Total SW class 1 + w_1 + ... of a rank-k bundle, as one polynomial."""
 
     rank: int
-    components: Tuple[F2Poly, ...]
+    total: F2Poly
+
+    def __post_init__(self):
+        ring = self.total.ring
+        if any(ring.mono_degree(m) > self.rank for m in self.total.monos):
+            raise ValueError(f"a rank-{self.rank} bundle has no SW class above degree {self.rank}")
 
     def component(self, degree: int) -> F2Poly:
-        if 0 <= degree < len(self.components):
-            return self.components[degree]
-        return self.components[0].ring.zero()
+        """w_degree: the degree-``degree`` part of the total, zero outside 0..rank."""
+        ring = self.total.ring
+        return F2Poly(
+            ring, frozenset(m for m in self.total.monos if ring.mono_degree(m) == degree)
+        )
 
     @property
     def ring(self) -> F2Ring:
-        return self.components[0].ring
+        return self.total.ring
 
 
 def generic_bundle(ring: F2Ring, k: int) -> SymbolicSW:
-    comps = [ring.one()]
-    comps.extend(ring.gen(f"w{i}") for i in range(1, k + 1))
-    return SymbolicSW(rank=k, components=tuple(comps))
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """Binomial coefficient mod 2 via Lucas: odd iff k's bits sit inside n's."""
-    if k < 0 or k > n:
-        return 0
-    return 1 if (n & k) == k else 0
+    total = ring.one()
+    for i in range(1, k + 1):
+        total = total + ring.gen(f"w{i}")
+    return SymbolicSW(rank=k, total=total)
 
 
 def line_twist(bundle: SymbolicSW, t: F2Poly) -> SymbolicSW:
     """Total SW class of E tensor L for a line class with w_1(L) = t.
 
-    Splitting-principle formula reduced mod 2:
-    w_j(E ox L) = sum_i binom(k - i, j - i) w_i(E) t^(j-i).
+    By the splitting principle, w(E ox L) = sum_i w_i(E) (1 + t)^(k - i): each
+    monomial of w(E), of degree d, contributes itself times (1 + t)^(k - d).
     """
-    ring = bundle.ring
-    k = bundle.rank
-    tpowers = [ring.one()]
+    ring, k = bundle.ring, bundle.rank
+    powers = [ring.one()]  # (1 + t)^0 .. (1 + t)^k
     for _ in range(k):
-        tpowers.append(tpowers[-1] * t)
-    comps = []
-    for j in range(k + 1):
-        acc = ring.zero()
-        for i in range(j + 1):
-            if binom_mod2(k - i, j - i):
-                acc = acc + bundle.component(i) * tpowers[j - i]
-        comps.append(acc)
-    return SymbolicSW(rank=k, components=tuple(comps))
+        powers.append(powers[-1] * (ring.one() + t))
+    terms = (
+        F2Poly(ring, frozenset({m})) * powers[k - ring.mono_degree(m)]
+        for m in bundle.total.monos
+    )
+    return SymbolicSW(rank=k, total=sum(terms, ring.zero()))
 
 
-def whitney_sum(a: SymbolicSW, b: SymbolicSW) -> SymbolicSW:
-    rank = a.rank + b.rank
-    ring = a.ring
-    comps = []
-    for j in range(rank + 1):
-        acc = ring.zero()
-        for i in range(j + 1):
-            acc = acc + a.component(i) * b.component(j - i)
-        comps.append(acc)
-    return SymbolicSW(rank=rank, components=tuple(comps))
-
-
-def line_total(t: F2Poly) -> SymbolicSW:
-    return SymbolicSW(rank=1, components=(t.ring.one(), t))
+def _plus_det(bundle: SymbolicSW) -> SymbolicSW:
+    """Whitney sum with det E, whose w_1 is the generator w1: w * (1 + w1)."""
+    ring = bundle.ring
+    return SymbolicSW(rank=bundle.rank + 1, total=bundle.total * (ring.one() + ring.gen("w1")))
 
 
 def tensor_with_det(k: int) -> SymbolicSW:
@@ -643,15 +636,12 @@ def tensor_with_det(k: int) -> SymbolicSW:
 
 def sum_with_det(k: int) -> SymbolicSW:
     """w(E + det E) = w(E) * (1 + w_1(E))."""
-    ring = sw_ring(k)
-    return whitney_sum(generic_bundle(ring, k), line_total(ring.gen("w1")))
+    return _plus_det(generic_bundle(sw_ring(k), k))
 
 
 def twist_then_sum(k: int) -> SymbolicSW:
-    """w((E ox det E) + det E)."""
-    ring = sw_ring(k)
-    twisted = line_twist(generic_bundle(ring, k), ring.gen("w1"))
-    return whitney_sum(twisted, line_total(ring.gen("w1")))
+    """w((E ox det E) + det E) = w(E ox det E) * (1 + w_1(E))."""
+    return _plus_det(tensor_with_det(k))
 
 
 # -- document interface -----------------------------------------------------

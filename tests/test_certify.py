@@ -429,6 +429,43 @@ class TestCombinators:
         with pytest.raises(CertificateError):
             certify.product_combinator(mayer, good)
 
+    def test_factor_larger_than_the_product_is_refused(self):
+        product = certify.structure_certificate(3, 4, "product data")
+        spin = certify.structure_certificate(1, 8, "spin factor")
+        with pytest.raises(CertificateError, match="exceeds the product's 4"):
+            certify.product_factor_combinator(product, spin)
+
+    @pytest.mark.parametrize(
+        "dimension",
+        [None, True, -1, "8", Fraction(8)],
+        ids=["missing", "bool", "negative", "string", "fraction"],
+    )
+    def test_inputs_without_a_dimension_are_refused(self, dimension):
+        a = certify.structure_certificate(3, 8, "x")
+        b = certify.structure_certificate(3, 8, "y")
+        for cert in (a, b):
+            if dimension is None:
+                del cert.parameters["dimension"]
+            else:
+                cert.parameters["dimension"] = dimension
+        for combine in (certify.connected_sum_combinator, certify.product_combinator):
+            with pytest.raises(CertificateError, match="records no dimension"):
+                combine(a, b)
+
+    @pytest.mark.parametrize("k", [True, 0, "3", None], ids=["bool", "zero", "string", "missing"])
+    def test_inputs_without_an_int_k_are_refused(self, k):
+        a = certify.structure_certificate(3, 8, "x")
+        a.parameters["k"] = k
+        with pytest.raises(CertificateError, match="does not establish a spin\\^k structure"):
+            certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
+
+    def test_an_input_with_a_failed_check_is_refused(self):
+        # a certificate edited after it was built escapes its own all-checks-pass rule
+        a = certify.structure_certificate(3, 8, "x")
+        a.checks[0].passed = False
+        with pytest.raises(CertificateError, match="failed checks: \\['basis of the claim'\\]"):
+            certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
+
 
 class TestKleinObstruction:
     def test_from_dimension8_family(self):
@@ -460,6 +497,22 @@ class TestKleinObstruction:
         # the parameters carry k = 3 (spin^h), but the claim excludes spin^c
         base = dataclasses.replace(certify.nonspinh8_certificate(0), claim="not-spin^c")
         with pytest.raises(CertificateError, match="does not exclude a spin\\^k structure"):
+            certify.klein_product_pin_obstruction(base)
+
+    def test_an_exclusion_without_a_dimension_is_refused(self):
+        base = certify.nonspinh8_certificate(0)
+        del base.parameters["dimension"]
+        with pytest.raises(CertificateError, match="records no dimension"):
+            certify.klein_product_pin_obstruction(base)
+
+    def test_an_exclusion_with_a_failed_check_is_refused(self):
+        # an inconclusive certificate relabelled as an exclusion by assignment
+        base = certify.realization_conditions(1, 1, 1)
+        assert base.verdict == "inconclusive"
+        assert not all(c.passed for c in base.checks)
+        base.claim, base.verdict = "not-spin^h", "excluded"
+        base.parameters.update(k=3, orientable=True)
+        with pytest.raises(CertificateError, match="failed checks"):
             certify.klein_product_pin_obstruction(base)
 
 

@@ -133,6 +133,47 @@ def dense_kunneth_sw_and_profile(a, b):
     return sw, IntProfile.from_mapping(profile)
 
 
+def binom_mod2(n, k):
+    """Binomial coefficient mod 2 via Lucas: odd iff k's bits sit inside n's."""
+    if k < 0 or k > n:
+        return 0
+    return 1 if (n & k) == k else 0
+
+
+def generic_components(ring, k):
+    """[1, w1, ..., wk] straight from the ring's generators."""
+    return [ring.one()] + [ring.gen(f"w{i}") for i in range(1, k + 1)]
+
+
+def oracle_line_twist(comps, t):
+    """Slow oracle, degree by degree: w_j(E ox L) = sum_i binom(k - i, j - i) w_i t^(j - i)."""
+    ring, k = t.ring, len(comps) - 1
+    tpowers = [ring.one()]
+    for _ in range(k):
+        tpowers.append(tpowers[-1] * t)
+    out = []
+    for j in range(k + 1):
+        acc = ring.zero()
+        for i in range(j + 1):
+            if binom_mod2(k - i, j - i):
+                acc = acc + comps[i] * tpowers[j - i]
+        out.append(acc)
+    return out
+
+
+def oracle_whitney_sum(a, b):
+    """Slow oracle: the Whitney convolution w_j(A + B) = sum_i w_i(A) w_(j-i)(B)."""
+    ring = a[0].ring
+    out = []
+    for j in range(len(a) + len(b) - 1):
+        acc = ring.zero()
+        for i in range(j + 1):
+            if i < len(a) and j - i < len(b):
+                acc = acc + a[i] * b[j - i]
+        out.append(acc)
+    return out
+
+
 class TestBuildAlgebra:
     def test_ground_field(self):
         algebra = build_algebra([("1", 0)], {})
@@ -466,6 +507,13 @@ class TestSymbolicBundles:
         with pytest.raises(ValueError, match="rank must be >= 1"):
             sw_ring(0)
 
+    def test_no_class_above_the_rank(self):
+        ring = sw_ring(2)
+        with pytest.raises(ValueError, match="rank-1 bundle has no SW class above degree 1"):
+            mod2.SymbolicSW(1, ring.one() + ring.gen("w2"))
+        line = mod2.SymbolicSW(1, ring.one() + ring.gen("w1"))
+        assert [line.component(d).monos for d in (-1, 2, 3)] == [frozenset()] * 3
+
     def test_tensor_case_split(self):
         for k in range(1, 9):
             ring_poly = tensor_with_det(k)
@@ -538,16 +586,54 @@ class TestSymbolicBundles:
             for j in range(k + 1):
                 assert twice.component(j) == bundle.component(j)
 
-    def test_binom_mod2_lucas(self):
-        from math import comb
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_pin_table_follows_the_twisted_normal_bundle(self, n):
+        # E is nu ox det nu for odd k and (nu ox det nu) + det nu for even k
+        row = certify.guaranteed_structures(n)
+        k = row.cohen_k
+        bundle = tensor_with_det(k) if k % 2 else twist_then_sum(k)
+        ring = bundle.ring
+        w1 = ring.gen("w1")
+        w2 = ring.gen("w2") if k >= 2 else ring.zero()
+        assert bundle.component(1).is_zero()
+        assert bundle.rank == row.pin_k
+        assert (row.pin_sign == "+") == (bundle.component(2) == w2 + w1 * w1)
 
+    def test_binom_mod2_lucas(self):
         for n in range(0, 40):
             for k in range(0, n + 1):
-                assert mod2.binom_mod2(n, k) == comb(n, k) % 2
+                assert binom_mod2(n, k) == comb(n, k) % 2
 
     @pytest.mark.parametrize("n, k", [(3, 5), (0, 1), (3, -1), (0, -2)])
     def test_binom_mod2_outside_the_triangle(self, n, k):
-        assert mod2.binom_mod2(n, k) == 0
+        assert binom_mod2(n, k) == 0
+
+    @staticmethod
+    def assert_matches(total, oracle):
+        # every degree the truncated ring holds, past the rank on both sides; rings
+        # compare by identity, so the monomials are compared
+        for j in range(total.ring.max_degree + 1):
+            expected = oracle[j].monos if j < len(oracle) else frozenset()
+            assert total.component(j).monos == expected, j
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_line_twist_matches_the_binomial_oracle(self, k):
+        ring = sw_ring(k, extra_degree1=("t",))
+        comps = generic_components(ring, k)
+        bundle = mod2.generic_bundle(ring, k)
+        for t in (ring.gen("w1"), ring.gen("t")):
+            self.assert_matches(mod2.line_twist(bundle, t), oracle_line_twist(comps, t))
+        w1 = sw_ring(k).gen("w1")
+        self.assert_matches(tensor_with_det(k), oracle_line_twist(generic_components(w1.ring, k), w1))
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_sums_with_det_match_the_convolution_oracle(self, k):
+        ring = sw_ring(k)
+        comps, w1 = generic_components(ring, k), ring.gen("w1")
+        det = [ring.one(), w1]
+        self.assert_matches(sum_with_det(k), oracle_whitney_sum(comps, det))
+        twisted = oracle_line_twist(comps, w1)
+        self.assert_matches(twist_then_sum(k), oracle_whitney_sum(twisted, det))
 
 
 WU_TEXT = resources.files("spincert").joinpath("data/wu.json").read_text()
