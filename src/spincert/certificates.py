@@ -4,14 +4,18 @@ A :class:`Certificate` records a claim, the checks that were actually
 computed (every value exact), a verdict, and optional witness data.  A
 verdict of ``established`` or ``excluded`` is only legal when every
 recorded check passed; inconclusive certificates may carry failed
-checks as evidence of what went wrong.
+checks as evidence of what went wrong.  Certificates and checks are
+immutable (``checks`` is a tuple, ``parameters`` and ``witnesses`` are
+read-only copies), and ``dataclasses.replace`` applies the rule again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Optional, Tuple
 
 ESTABLISHED = "established"
 EXCLUDED = "excluded"
@@ -58,14 +62,14 @@ def exact_to_json(value: Any) -> Any:
         return value
     if isinstance(value, (list, tuple)):
         return [exact_to_json(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): exact_to_json(v) for k, v in value.items()}
     if isinstance(value, float):
         raise CertificateError("floating-point values are not allowed in certificates")
     raise CertificateError(f"cannot serialize value of type {type(value).__name__}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
     """One verified (or failed) fact: ``lhs relation rhs``."""
 
@@ -85,15 +89,19 @@ class Check:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     claim: str
-    parameters: Dict[str, Any]
-    checks: List[Check]
+    parameters: Mapping[str, Any]
+    checks: Tuple[Check, ...]
     verdict: str
-    witnesses: Optional[Dict[str, Any]] = None
+    witnesses: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+        if self.witnesses is not None:
+            object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
         if self.verdict not in VERDICTS:
             raise CertificateError(f"unknown verdict {self.verdict!r}")
         if self.verdict in (ESTABLISHED, EXCLUDED) and not all(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
@@ -44,24 +45,25 @@ def _mono_weight(mono: Monomial) -> int:
     return sum(int(name[1:]) * exp for name, exp in mono)
 
 
+@dataclass(frozen=True, eq=False)
 class PontryaginPolynomial:
     """Polynomial in Pontryagin classes with exact rational coefficients.
 
-    The read-only result type of the genus engine: zero coefficients are
-    never stored, and there is no arithmetic.
+    The read-only result type of the genus engine: ``terms`` is a read-only
+    mapping, zero coefficients are never stored, and there is no arithmetic.
     """
 
-    __slots__ = ("terms",)
+    terms: Mapping[Monomial, Fraction] | None = None
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __post_init__(self) -> None:
         clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
+        if self.terms:
+            for mono, coeff in self.terms.items():
                 if not isinstance(coeff, Fraction):
                     coeff = Fraction(coeff)
                 if coeff:
                     clean[mono] = coeff
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- queries -------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from math import gcd
@@ -39,44 +39,27 @@ class ModelError(ValueError):
 # -- finite F2 algebras --------------------------------------------------
 
 
+@dataclass(frozen=True)
 class F2Algebra:
     """Graded-commutative unital algebra over F2 with a finite basis.
 
     Elements are int bitmasks over the basis (bit i is ``names[i]``), and
     ``mul[i][j]`` is the product of basis elements i and j, held as a tuple
-    of tuples.  The constructor indexes the basis and trusts the table: a
+    of tuples.  Construction indexes the basis and trusts the table: a
     declared table goes through :func:`build_algebra`, which checks the
     axioms, and :func:`kunneth` builds tables that satisfy them by
     construction.  An algebra is read-only once built, as a shared
-    :class:`SpaceModel` needs: its attributes cannot be rebound or deleted.
+    :class:`SpaceModel` needs.
     """
 
     names: Tuple[str, ...]
     degrees: Tuple[int, ...]
     unit: str
-    mul: Tuple[Tuple[int, ...], ...]
+    mul: Tuple[Tuple[int, ...], ...] = field(repr=False)
+    _index: Dict[str, int] = field(init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        basis: Sequence[Tuple[str, int]],
-        mul: Sequence[Sequence[int]],
-        unit: str,
-    ):
-        fields = {
-            "_index": _basis_index(basis, unit),
-            "names": tuple(name for name, _ in basis),
-            "degrees": tuple(degree for _, degree in basis),
-            "unit": unit,
-            "mul": tuple(tuple(row) for row in mul),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", _basis_index(self.names, self.degrees, self.unit))
 
     def product(self, x: int, y: int) -> int:
         """Product of two elements given as masks."""
@@ -111,18 +94,6 @@ class F2Algebra:
     @property
     def top_degree(self) -> int:
         return max(self.degrees)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Algebra)
-            and self.names == other.names
-            and self.degrees == other.degrees
-            and self.unit == other.unit
-            and self.mul == other.mul
-        )
-
-    def __repr__(self) -> str:
-        return f"F2Algebra(basis={list(zip(self.names, self.degrees))})"
 
 
 def _check_axioms(algebra: F2Algebra) -> None:
@@ -180,9 +151,9 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _basis_index(basis: Sequence[Tuple[str, int]], unit: str) -> Dict[str, int]:
+def _basis_index(names: Sequence[str], degrees: Sequence[int], unit: str) -> Dict[str, int]:
     index: Dict[str, int] = {}
-    for name, degree in basis:
+    for name, degree in zip(names, degrees):
         if name in index:
             raise AlgebraError(f"duplicate basis element {name!r}", "basis")
         if degree < 0:
@@ -190,7 +161,7 @@ def _basis_index(basis: Sequence[Tuple[str, int]], unit: str) -> Dict[str, int]:
         index[name] = len(index)
     if unit not in index:
         raise AlgebraError(f"unit {unit!r} is not a basis element", "unit")
-    if basis[index[unit]][1] != 0:
+    if degrees[index[unit]] != 0:
         raise AlgebraError(f"unit {unit!r} must have degree 0", "unit")
     return index
 
@@ -233,7 +204,9 @@ def build_algebra(
     gets the same product in the other, pairs with the unit follow the unit
     law, and other unlisted pairs are zero.
     """
-    index = _basis_index(basis, unit)
+    names = tuple(name for name, _ in basis)
+    degrees = tuple(degree for _, degree in basis)
+    index = _basis_index(names, degrees, unit)
     table = {}
     for (left, right), result in products.items():
         for name in (left, right, *result):
@@ -249,7 +222,7 @@ def build_algebra(
         mul[j][i] = mask
     for (i, j), mask in table.items():
         mul[i][j] = mask
-    algebra = F2Algebra(basis, mul, unit)
+    algebra = F2Algebra(names, degrees, unit, tuple(map(tuple, mul)))
     _check_axioms(algebra)
     return algebra
 
@@ -428,17 +401,16 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     """Product model: tensor algebra, product SW class, combined profile."""
     left, right = a.algebra, b.algebra
     width = len(right.names)
-    basis = [
-        (f"{x}⊗{y}", dx + dy)
-        for x, dx in zip(left.names, left.degrees)
-        for y, dy in zip(right.names, right.degrees)
-    ]
+    names = tuple(f"{x}⊗{y}" for x in left.names for y in right.names)
+    degrees = tuple(dx + dy for dx in left.degrees for dy in right.degrees)
     # the tensor product of two algebras that satisfy the axioms satisfies them
     # too (over F2 graded commutativity has no signs), so the table is not checked;
     # each entry is _tensor(u, v, width), with u spread once per left entry
     spread = [[_spread(u, width) for u in row_a] for row_a in left.mul]
-    mul = [tuple(s * v for s in row_s for v in row_b) for row_s in spread for row_b in right.mul]
-    algebra = F2Algebra(basis, mul, f"{left.unit}⊗{right.unit}")
+    mul = tuple(
+        tuple(s * v for s in row_s for v in row_b) for row_s in spread for row_b in right.mul
+    )
+    algebra = F2Algebra(names, degrees, f"{left.unit}⊗{right.unit}", mul)
 
     # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
     sw: Dict[int, int] = {}
@@ -516,13 +488,13 @@ def w5_verdict(model: SpaceModel) -> Certificate:
 # -- free F2 polynomial algebras and symbolic bundle identities -------------
 
 
+@dataclass(frozen=True)
 class F2Ring:
     """Free polynomial ring over F2 on graded generators, degree-truncated."""
 
-    def __init__(self, gens: Sequence[Tuple[str, int]], max_degree: int):
-        self.gen_names = tuple(name for name, _ in gens)
-        self.gen_degrees = tuple(degree for _, degree in gens)
-        self.max_degree = max_degree
+    gen_names: Tuple[str, ...]
+    gen_degrees: Tuple[int, ...]
+    max_degree: int
 
     def mono_degree(self, exps: Tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
@@ -545,9 +517,11 @@ class F2Poly:
     monos: FrozenSet[Tuple[int, ...]]
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
+        self._require_same_ring(other)
         return F2Poly(self.ring, self.monos ^ other.monos)
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
+        self._require_same_ring(other)
         acc: set = set()
         for ma in self.monos:
             for mb in other.monos:
@@ -559,6 +533,10 @@ class F2Poly:
     def is_zero(self) -> bool:
         return not self.monos
 
+    def _require_same_ring(self, other: "F2Poly") -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("polynomials belong to different rings")
+
 
 def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
     """Free SW algebra on w_1..w_k (deg w_i = i), truncated at degree k + 2.
@@ -569,9 +547,9 @@ def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
     """
     if k < 1:
         raise ValueError("rank must be >= 1")
-    gens = [(f"w{i}", i) for i in range(1, k + 1)]
-    gens.extend((name, 1) for name in extra_degree1)
-    return F2Ring(gens, k + 2)
+    names = tuple(f"w{i}" for i in range(1, k + 1)) + tuple(extra_degree1)
+    degrees = tuple(range(1, k + 1)) + (1,) * len(extra_degree1)
+    return F2Ring(names, degrees, k + 2)
 
 
 @dataclass(frozen=True)

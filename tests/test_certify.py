@@ -1,13 +1,16 @@
 import dataclasses
 import functools
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
 
+import spincert
 from spincert import certify, genus, mod2
 from spincert.certificates import (
     Certificate,
@@ -18,6 +21,14 @@ from spincert.certificates import (
     spin_label,
 )
 from spincert.exact import odd_part
+
+
+def with_parameter(cert, name, value):
+    """``cert`` with parameter ``name`` set to ``value``, or removed when ``value`` is None."""
+    parameters = {key: v for key, v in cert.parameters.items() if key != name}
+    if value is not None:
+        parameters[name] = value
+    return dataclasses.replace(cert, parameters=parameters)
 
 
 class TestRealizationConditions:
@@ -441,28 +452,25 @@ class TestCombinators:
         ids=["missing", "bool", "negative", "string", "fraction"],
     )
     def test_inputs_without_a_dimension_are_refused(self, dimension):
-        a = certify.structure_certificate(3, 8, "x")
-        b = certify.structure_certificate(3, 8, "y")
-        for cert in (a, b):
-            if dimension is None:
-                del cert.parameters["dimension"]
-            else:
-                cert.parameters["dimension"] = dimension
+        a, b = (
+            with_parameter(certify.structure_certificate(3, 8, basis), "dimension", dimension)
+            for basis in ("x", "y")
+        )
         for combine in (certify.connected_sum_combinator, certify.product_combinator):
             with pytest.raises(CertificateError, match="records no dimension"):
                 combine(a, b)
 
     @pytest.mark.parametrize("k", [True, 0, "3", None], ids=["bool", "zero", "string", "missing"])
     def test_inputs_without_an_int_k_are_refused(self, k):
-        a = certify.structure_certificate(3, 8, "x")
-        a.parameters["k"] = k
+        a = with_parameter(certify.structure_certificate(3, 8, "x"), "k", k)
         with pytest.raises(CertificateError, match="does not establish a spin\\^k structure"):
             certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
 
     def test_an_input_with_a_failed_check_is_refused(self):
-        # a certificate edited after it was built escapes its own all-checks-pass rule
+        # a decisive certificate with a failed check cannot be built, so the check is
+        # failed past the freeze to reach the combinator's own refusal
         a = certify.structure_certificate(3, 8, "x")
-        a.checks[0].passed = False
+        object.__setattr__(a.checks[0], "passed", False)
         with pytest.raises(CertificateError, match="failed checks: \\['basis of the claim'\\]"):
             certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
 
@@ -500,18 +508,19 @@ class TestKleinObstruction:
             certify.klein_product_pin_obstruction(base)
 
     def test_an_exclusion_without_a_dimension_is_refused(self):
-        base = certify.nonspinh8_certificate(0)
-        del base.parameters["dimension"]
+        base = with_parameter(certify.nonspinh8_certificate(0), "dimension", None)
         with pytest.raises(CertificateError, match="records no dimension"):
             certify.klein_product_pin_obstruction(base)
 
     def test_an_exclusion_with_a_failed_check_is_refused(self):
-        # an inconclusive certificate relabelled as an exclusion by assignment
+        # an inconclusive certificate relabelled as an exclusion past the freeze;
+        # dataclasses.replace refuses the relabelling (TestCertificateType)
         base = certify.realization_conditions(1, 1, 1)
         assert base.verdict == "inconclusive"
         assert not all(c.passed for c in base.checks)
-        base.claim, base.verdict = "not-spin^h", "excluded"
-        base.parameters.update(k=3, orientable=True)
+        base = dataclasses.replace(base, parameters={**base.parameters, "k": 3, "orientable": True})
+        object.__setattr__(base, "claim", "not-spin^h")
+        object.__setattr__(base, "verdict", "excluded")
         with pytest.raises(CertificateError, match="failed checks"):
             certify.klein_product_pin_obstruction(base)
 
@@ -577,6 +586,53 @@ class TestCertificateType:
     def test_unknown_verdict_refused(self):
         with pytest.raises(CertificateError, match="unknown verdict 'maybe'"):
             Certificate(claim="x", parameters={}, checks=[], verdict="maybe")
+
+    def test_replace_applies_the_checks_rule_again(self):
+        base = certify.realization_conditions(1, 1, 1)
+        with pytest.raises(CertificateError, match="requires all checks to pass"):
+            dataclasses.replace(base, claim="not-spin^h", verdict="excluded")
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda cert: setattr(cert, "claim", "not-spin^c"),
+            lambda cert: setattr(cert, "verdict", "inconclusive"),
+            lambda cert: setattr(cert, "checks", ()),
+            lambda cert: setattr(cert.checks[0], "passed", False),
+        ],
+        ids=["claim", "verdict", "checks", "check-passed"],
+    )
+    def test_fields_cannot_be_assigned(self, write):
+        cert = certify.nonspinh8_certificate(0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            write(cert)
+        assert cert == certify.nonspinh8_certificate(0)
+
+    def test_collections_are_read_only_copies(self):
+        checks = [Check("passing", 1, 1, "=", True)]
+        parameters = {"k": 3}
+        witnesses = {"x": [1, 2]}
+        cert = Certificate("x", parameters, checks, "established", witnesses)
+        checks.append(Check("failing", 1, 2, "=", False))
+        parameters["k"] = 1
+        witnesses["y"] = 0
+        assert cert.checks == (Check("passing", 1, 1, "=", True),)
+        assert dict(cert.parameters) == {"k": 3}
+        assert dict(cert.witnesses) == {"x": [1, 2]}
+        for mapping in (cert.parameters, cert.witnesses):
+            with pytest.raises(TypeError):
+                mapping["k"] = 1
+        assert cert.to_dict()["witnesses"] == {"x": [1, 2]}
+
+    def test_every_spincert_dataclass_is_frozen(self):
+        found = {}
+        for info in pkgutil.iter_modules(spincert.__path__):
+            module = importlib.import_module(f"spincert.{info.name}")
+            for value in vars(module).values():
+                if dataclasses.is_dataclass(value) and value.__module__ == module.__name__:
+                    found[value.__qualname__] = value.__dataclass_params__.frozen
+        assert {"Check", "Certificate", "F2Algebra", "F2Ring", "PontryaginPolynomial"} <= set(found)
+        assert [name for name, frozen in found.items() if not frozen] == []
 
     def test_check_looked_up_by_name(self):
         cert = certify.nonspinh8_certificate(0)

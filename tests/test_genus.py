@@ -416,7 +416,8 @@ class TestGenusPolynomials:
 
     def test_results_are_not_shared(self):
         series = genus.signature_series(2)
-        genus.genus_polynomials(series, 2)[0].terms.clear()
+        with pytest.raises(TypeError):
+            genus.genus_polynomials(series, 2)[0].terms[P1] = Fraction(0)
         assert genus.genus_polynomials(series, 2) == [L1, L2]
 
     def test_insufficient_degree(self):
@@ -618,7 +619,8 @@ class TestTwistClass:
         )
 
     def test_results_are_not_shared(self):
-        twist_class_e1(8).terms.clear()
+        with pytest.raises(TypeError):
+            twist_class_e1(8).terms[P1] = Fraction(0)
         assert twist_class_e1(8) == PP(
             {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
         )

@@ -507,6 +507,24 @@ class TestSymbolicBundles:
         with pytest.raises(ValueError, match="rank must be >= 1"):
             sw_ring(0)
 
+    def test_rings_compare_by_value(self):
+        assert sw_ring(3) == sw_ring(3) != sw_ring(3, ("t",))
+        assert tensor_with_det(3).component(0) == sum_with_det(3).component(0)
+        assert (sw_ring(3).gen("w1") + sw_ring(3).gen("w1")).is_zero()
+
+    @pytest.mark.parametrize(
+        "combine, left, right",
+        [
+            (operator.mul, sw_ring(3).gen("w1"), sw_ring(3, ("t",)).gen("t")),
+            (operator.add, sw_ring(3).gen("w1"), sw_ring(4).gen("w1")),
+        ],
+        ids=["mul-extra-generator", "add-other-rank"],
+    )
+    def test_mixed_rings_are_refused(self, combine, left, right):
+        for a, b in ((left, right), (right, left)):
+            with pytest.raises(ValueError, match="different rings"):
+                combine(a, b)
+
     def test_no_class_above_the_rank(self):
         ring = sw_ring(2)
         with pytest.raises(ValueError, match="rank-1 bundle has no SW class above degree 1"):
@@ -610,11 +628,10 @@ class TestSymbolicBundles:
 
     @staticmethod
     def assert_matches(total, oracle):
-        # every degree the truncated ring holds, past the rank on both sides; rings
-        # compare by identity, so the monomials are compared
+        # every degree the truncated ring holds, past the rank on both sides
         for j in range(total.ring.max_degree + 1):
-            expected = oracle[j].monos if j < len(oracle) else frozenset()
-            assert total.component(j).monos == expected, j
+            expected = oracle[j] if j < len(oracle) else total.ring.zero()
+            assert total.component(j) == expected, j
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_line_twist_matches_the_binomial_oracle(self, k):
