@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from types import MappingProxyType
 from typing import Dict, Tuple
 
 from . import genus
@@ -313,8 +314,8 @@ def nonspinh8_certificate(a: int) -> Certificate:
         Check("7*y - x^2", 7 * y - x * x, 45, "=", 7 * y - x * x == 45),
         Check(
             "48 * integrand reduces to c^2 - y + 6: coefficients on (c^2, y, 1)",
-            list(derived),
-            [1, -1, 6],
+            derived,
+            (1, -1, 6),
             "=",
             derived == expected,
         ),
@@ -337,7 +338,7 @@ def nonspinh8_certificate(a: int) -> Certificate:
         },
         checks=checks,
         verdict=EXCLUDED if all_passed else INCONCLUSIVE,
-        witnesses={"pontryagin_numbers": {"p1^2": x * x, "p2": y}},
+        witnesses={"pontryagin_numbers": MappingProxyType({"p1^2": x * x, "p2": y})},
     )
 
 
@@ -494,7 +495,7 @@ def product_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
     return _spin_k(
         k,
         da + db,
-        Check("factor claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
+        Check("factor claims", (cert_a.claim, cert_b.claim), None, "recorded", True),
         Check("product rule", rule, None, "recorded", True),
     )
 
@@ -511,7 +512,7 @@ def product_factor_combinator(
         raise CertificateError(
             f"the spin factor's dimension {factor_dimension} exceeds the product's {dimension}"
         )
-    claims = [product_cert.claim, spin_factor_cert.claim]
+    claims = (product_cert.claim, spin_factor_cert.claim)
     return _spin_k(
         k,
         dimension - factor_dimension,
@@ -535,8 +536,8 @@ def connected_sum_combinator(cert_a: Certificate, cert_b: Certificate) -> Certif
     return _spin_k(
         max(ka, kb),
         da,
-        Check("summand claims", [cert_a.claim, cert_b.claim], None, "recorded", True),
-        Check("summand dimensions", [da, db], None, "=", True),
+        Check("summand claims", (cert_a.claim, cert_b.claim), None, "recorded", True),
+        Check("summand dimensions", (da, db), None, "=", True),
     )
 
 

@@ -314,37 +314,29 @@ def s2m_bernoulli(m: int) -> Fraction:
 # -- twist class and rationally-highly-connected integrals --------------
 
 
-def _ahat_twists(m: int) -> List[Tuple[Fraction, Fraction]]:
-    # the pairs of rhc_ahat_twist_coeffs(m, t) for t = 0, 1, 2 in closed form.
-    # Ahat = 1 + a1 p_m + a11 p_m^2 + a2 p_2m and, by Newton's identities,
-    # e1 = c1 p_m + c2 p_m^2 + c3 p_2m.  e1 has no constant term, so
-    # e1 Ahat = c1 p_m + (c1 a1 + c2) p_m^2 + c3 p_2m and e1^2 Ahat = c1^2 p_m^2:
-    # integral(e1^2 Ahat) = c1^2 P2.
-    a1, a11, a2 = _sequence_triple(ahat_series(2 * m), m)
-    c1 = Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m))
-    c2, c3 = Fraction(2 * m, factorial(4 * m)), Fraction(-4 * m, factorial(4 * m))
-    return [(a11, a2), (c1 * a1 + c2, c3), (c1 * c1, Fraction(0))]
-
-
-def rhc_ahat_twist_coeffs(m: int, twist_power: int) -> Tuple[Fraction, Fraction]:
-    """Coefficients (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q.
+def rhc_ahat_twist_coeffs(m: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    """The pairs (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q, for t = 0, 1, 2.
 
     On an 8m-dimensional rationally highly connected model only the
     monomials p_m^2 and p_{2m} survive rationally; everything else is
-    torsion and integrates to zero.  The product is therefore taken in
+    torsion and integrates to zero.  The products are therefore taken in
     the truncated algebra of :func:`_sequence_triple`, where
-    e1 = 2 ps_m / (2m)! + 2 ps_2m / (4m)!.
+    Ahat = 1 + a1 p_m + a11 p_m^2 + a2 p_2m and, by Newton's identities,
+    e1 = 2 ps_m / (2m)! + 2 ps_2m / (4m)! = c1 p_m + c2 p_m^2 + c3 p_2m.
+    e1 has no constant term, so e1 Ahat = c1 p_m + (c1 a1 + c2) p_m^2 + c3 p_2m
+    and e1^2 Ahat = c1^2 p_m^2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if twist_power not in (0, 1, 2):
-        raise ValueError("only twists 1, e1, e1^2 are supported")
-    return _ahat_twists(m)[twist_power]
+    a1, a11, a2 = _sequence_triple(ahat_series(2 * m), m)
+    c1 = Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m))
+    c2, c3 = Fraction(2 * m, factorial(4 * m)), Fraction(-4 * m, factorial(4 * m))
+    return (a11, a2), (c1 * a1 + c2, c3), (c1 * c1, Fraction(0))
 
 
 def ahat_rhc_coeffs(m: int) -> Tuple[Fraction, Fraction]:
     """(a, b) with integral(Ahat) = a*P2 + b*Q on the 8m-dimensional model."""
-    return rhc_ahat_twist_coeffs(m, 0)
+    return rhc_ahat_twist_coeffs(m)[0]
 
 
 def mayer_integrality_check(model, k: int) -> Certificate:
@@ -377,24 +369,18 @@ def mayer_integrality_check(model, k: int) -> Certificate:
             "the normal-bundle factor need not be rationally trivial"
         )
     l = k // 2
-    scale = Fraction(2) ** l
-    values = {}
+    (a0, b0), _, (a2, b2) = rhc_ahat_twist_coeffs(model.m)
+    ahat = a0 * model.P2 + b0 * model.Q
+    twisted = a2 * model.P2 + b2 * model.Q
     checks = []
-    all_integral = True
-    twists = _ahat_twists(model.m)
-    for twist_power, tag in ((0, "ahat"), (2, "e1^2*ahat")):
-        a, b = twists[twist_power]
-        value = a * model.P2 + b * model.Q
-        values[tag] = value
-        scaled = scale * value
-        integral = scaled.denominator == 1
-        all_integral = all_integral and integral
+    for tag, value in (("ahat", ahat), ("e1^2*ahat", twisted)):
+        scaled = 2**l * value
         checks.append(
             Check(
                 name=f"2^{l} * integral({tag})",
                 lhs=scaled,
                 rhs="Z",
-                relation="in" if integral else "not in",
+                relation="in" if scaled.denominator == 1 else "not in",
                 passed=True,
             )
         )
@@ -406,13 +392,13 @@ def mayer_integrality_check(model, k: int) -> Certificate:
         "P2": model.P2,
         "Q": model.Q,
         "sigma": sigma,
-        "integral(ahat)": values["ahat"],
-        "integral(e1^2*ahat)": values["e1^2*ahat"],
+        "integral(ahat)": ahat,
+        "integral(e1^2*ahat)": twisted,
         "orientable": True,
     }
     claim, verdict = (
         ("mayer-integrality-consistent", ESTABLISHED)
-        if all_integral
+        if all(check.lhs.denominator == 1 for check in checks)
         else (f"not-{spin_label(k)}", EXCLUDED)
     )
     return Certificate(claim=claim, parameters=parameters, checks=checks, verdict=verdict)

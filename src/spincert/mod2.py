@@ -56,10 +56,11 @@ class F2Algebra:
     degrees: Tuple[int, ...]
     unit: str
     mul: Tuple[Tuple[int, ...], ...] = field(repr=False)
-    _index: Dict[str, int] = field(init=False, compare=False, repr=False)
+    _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", _basis_index(self.names, self.degrees, self.unit))
+        index = _basis_index(self.names, self.degrees, self.unit)
+        object.__setattr__(self, "_index", MappingProxyType(index))
 
     def product(self, x: int, y: int) -> int:
         """Product of two elements given as masks."""

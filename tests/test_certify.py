@@ -5,6 +5,7 @@ import itertools
 import json
 import pkgutil
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -21,6 +22,18 @@ from spincert.certificates import (
     spin_label,
 )
 from spincert.exact import odd_part
+
+
+def _mutable_paths(value, path):
+    """Paths to the lists, dicts and sets reachable from ``value`` through containers."""
+    if isinstance(value, (list, dict, set)):
+        yield path
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            yield from _mutable_paths(item, f"{path}[{key!r}]")
+    elif isinstance(value, (tuple, list, set)):
+        for i, item in enumerate(value):
+            yield from _mutable_paths(item, f"{path}[{i}]")
 
 
 def with_parameter(cert, name, value):
@@ -623,6 +636,39 @@ class TestCertificateType:
             with pytest.raises(TypeError):
                 mapping["k"] = 1
         assert cert.to_dict()["witnesses"] == {"x": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: certify.realization_conditions(1, 4, 7),
+            lambda: certify.signature_bound_verdict(4, 7, 1),
+            lambda: certify.nonspinh8_certificate(0),
+            lambda: certify.structure_certificate(3, 8, "x"),
+            lambda: certify.product_combinator(
+                certify.structure_certificate(3, 5, "x"), certify.structure_certificate(2, 4, "y")
+            ),
+            lambda: certify.product_factor_combinator(
+                certify.structure_certificate(4, 12, "x"), certify.structure_certificate(1, 4, "y")
+            ),
+            lambda: certify.connected_sum_combinator(
+                certify.structure_certificate(3, 8, "x"), certify.structure_certificate(2, 8, "y")
+            ),
+            lambda: genus.mayer_integrality_check(certify.RHCModel(2, 33, 33, 45, 1230), 3),
+            lambda: mod2.w5_verdict(mod2.kunneth(mod2.wu_manifold(), mod2.wu_manifold())),
+        ],
+        ids=[
+            "realization", "bound", "non-spinh8", "structure", "product", "factor",
+            "connected-sum", "mayer", "w5",
+        ],
+    )
+    def test_nothing_mutable_inside_a_certificate(self, build):
+        cert = build()
+        roots = {"parameters": cert.parameters, "witnesses": cert.witnesses}
+        for check in cert.checks:
+            roots[f"{check.name}: lhs"] = check.lhs
+            roots[f"{check.name}: rhs"] = check.rhs
+        paths = [path for name, value in roots.items() for path in _mutable_paths(value, name)]
+        assert paths == []
 
     def test_every_spincert_dataclass_is_frozen(self):
         found = {}

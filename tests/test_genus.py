@@ -3,13 +3,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincert import certify, genus
+from spincert import certify, cli, genus
 from spincert.exact import alpha, bernoulli, nu2
 from spincert.genus import PontryaginPolynomial as PP
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- independent oracle: naive expansion over formal roots -----------------
@@ -194,7 +197,7 @@ def twist_class_e1(max_degree):
 
     With z_j = y_j^2 this is 2 * sum_{r>=1} ps_r(z) / (2r)! where ps_r is
     the r-th power sum; the degree-4 part is p_1.  The slow oracle of
-    genus.rhc_ahat_twist_coeffs, which reads two coefficients in closed form.
+    genus.rhc_ahat_twist_coeffs, which writes its pairs down in closed form.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -226,7 +229,7 @@ def _l_coefficients_by_expansion(m):
 
 # -- slow oracle for the twist pairs: products of 4-vectors -----------------
 #
-# The library writes the three pairs of _ahat_twists down in closed form.  This
+# genus.rhc_ahat_twist_coeffs writes its three pairs down in closed form.  This
 # oracle multiplies the A-hat vector by e1 twice in the basis (1, p_m, p_m^2,
 # p_2m), with the A-hat coefficients read from the logarithm above.
 
@@ -264,7 +267,7 @@ def _ahat_twists_by_products(m):
     for _ in range(2):
         integrand = _four_vector_mul(integrand, e1)
         pairs.append((integrand[2], integrand[3]))
-    return pairs
+    return tuple(pairs)
 
 
 def _truncated_mul(a, b, max_weight, weight=lambda g: g):
@@ -549,16 +552,10 @@ class TestRHCIntegrals:
         a, b = genus.ahat_rhc_coeffs(1)
         assert a * 4 + b * 7 == 0
 
-    def test_twist_power_validation(self):
-        with pytest.raises(ValueError):
-            genus.rhc_ahat_twist_coeffs(1, 3)
-
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("power", [0, 1, 2])
     def test_closed_form_matches_expansion(self, m, power):
-        assert genus.rhc_ahat_twist_coeffs(m, power) == _twist_coeffs_by_expansion(
-            m, power
-        )
+        assert genus.rhc_ahat_twist_coeffs(m)[power] == _twist_coeffs_by_expansion(m, power)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -600,15 +597,30 @@ class TestRHCIntegrals:
             reduced.get(((m, 2),), Fraction(0)),
             reduced.get(((2 * m, 1),), Fraction(0)),
         )
-        assert genus.rhc_ahat_twist_coeffs(m, power) == expected
+        assert genus.rhc_ahat_twist_coeffs(m)[power] == expected
 
     @pytest.mark.parametrize("m", range(1, 65))
     def test_closed_form_matches_four_vector_products(self, m):
-        assert genus._ahat_twists(m) == _ahat_twists_by_products(m)
+        assert genus.rhc_ahat_twist_coeffs(m) == _ahat_twists_by_products(m)
 
     def test_twisted_coefficients_dim8_goldens(self):
-        assert genus.rhc_ahat_twist_coeffs(1, 1) == (Fraction(1, 24), Fraction(-1, 6))
-        assert genus.rhc_ahat_twist_coeffs(1, 2) == (Fraction(1), Fraction(0))
+        assert genus.rhc_ahat_twist_coeffs(1)[1] == (Fraction(1, 24), Fraction(-1, 6))
+        assert genus.rhc_ahat_twist_coeffs(1)[2] == (Fraction(1), Fraction(0))
+
+    def test_mayer_check_reads_the_pairs_once(self, monkeypatch):
+        calls = []
+        reader = genus.rhc_ahat_twist_coeffs
+
+        def counting(m):
+            calls.append(m)
+            return reader(m)
+
+        monkeypatch.setattr(genus, "rhc_ahat_twist_coeffs", counting)
+        argv = ["mayer-check", "--m", "2", "--k", "3", "--p2", "45", "--q", "1230"]
+        code, document = cli.run(argv)
+        assert code == 1
+        assert (document + "\n").encode() == (GOLDEN / "mayer-check-m2-k3.txt").read_bytes()
+        assert calls == [2]
 
 
 class TestTwistClass:
@@ -785,7 +797,7 @@ class TestPontryaginPolynomial:
     [
         (lambda: genus.genus_polynomials(genus.signature_series(2), 0), "n must be >= 1"),
         (lambda: twist_class_e1(-1), "max_degree must be >= 0"),
-        (lambda: genus.rhc_ahat_twist_coeffs(0, 0), "m must be >= 1"),
+        (lambda: genus.rhc_ahat_twist_coeffs(0), "m must be >= 1"),
         (lambda: genus.s2m_bernoulli(0), "m must be >= 1"),
     ],
     ids=["genus-polynomials", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],

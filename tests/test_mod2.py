@@ -265,6 +265,7 @@ class TestWuManifold:
             (lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())), TypeError),
             (lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0), TypeError),
             (lambda wu: operator.setitem(wu.algebra.mul, 1, ()), TypeError),
+            (lambda wu: operator.setitem(wu.algebra._index, "z2", 2), TypeError),
             (lambda wu: setattr(wu.algebra, "mul", ()), dataclasses.FrozenInstanceError),
             (lambda wu: setattr(wu.algebra, "names", ()), dataclasses.FrozenInstanceError),
             (lambda wu: setattr(wu.algebra, "_index", {}), dataclasses.FrozenInstanceError),
@@ -272,7 +273,7 @@ class TestWuManifold:
             (lambda wu: setattr(wu.algebra, "unit", "z2"), dataclasses.FrozenInstanceError),
         ],
         ids=[
-            "sw-set", "sw-delete", "groups", "mul-row", "mul",
+            "sw-set", "sw-delete", "groups", "mul-row", "mul", "index-entry",
             "algebra-mul", "algebra-names", "algebra-index", "algebra-degrees", "algebra-unit",
         ],
     )
@@ -280,6 +281,7 @@ class TestWuManifold:
         wu = wu_manifold()
         with pytest.raises(error):
             write(wu)
+        assert wu_manifold().algebra.mask(["z2"]) == 2
         assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
 
     def test_uct_mismatch_detected(self):
