@@ -47,8 +47,8 @@ def exact_to_json(value: Any) -> Any:
     """Convert exact values to their JSON form.
 
     Non-integral rationals become "numerator/denominator" strings;
-    integral values stay JSON integers.  No floats are ever produced
-    (or accepted).
+    integral values stay JSON integers, and a nested certificate becomes
+    its ``to_dict()``.  No floats are ever produced (or accepted).
     """
     if isinstance(value, bool) or value is None:
         return value
@@ -64,6 +64,8 @@ def exact_to_json(value: Any) -> Any:
         return [exact_to_json(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): exact_to_json(v) for k, v in value.items()}
+    if isinstance(value, Certificate):
+        return value.to_dict()
     if isinstance(value, float):
         raise CertificateError("floating-point values are not allowed in certificates")
     raise CertificateError(f"cannot serialize value of type {type(value).__name__}")

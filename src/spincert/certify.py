@@ -583,5 +583,5 @@ def klein_product_pin_obstruction(cert: Certificate) -> Certificate:
             Check("factor exclusion", cert.claim, EXCLUDED, "recorded", True),
         ],
         verdict=EXCLUDED,
-        witnesses={"factor_certificate": cert.to_dict()},
+        witnesses={"factor_certificate": cert},
     )

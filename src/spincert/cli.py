@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p1-e", type=int, required=True)
     p.add_argument(
         "--variant",
-        choices=["plain", "spin4-plus", "spin4-minus"],
+        choices=[variant.replace("_", "-") for variant in certify.W4_LIFT_VARIANTS],
         default="plain",
     )
     p.add_argument("--euler", type=int, default=0)

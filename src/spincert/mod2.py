@@ -287,31 +287,24 @@ class IntProfile:
 class SpaceModel:
     """Mod-2 cohomology ring, tangent SW class and declared integral data.
 
-    A frozen model: ``sw`` is a read-only mapping from each degree d > 0
-    with w_d != 0 to the mask of w_d, and the algebra's table is tuples.
+    A frozen model: ``sw`` is the mask of the total class
+    w = 1 + w_1 + w_2 + ..., unit included, so w_d is its degree-d part,
+    and the algebra's table is tuples.
     """
 
     name: str
     algebra: F2Algebra
-    sw: Mapping[int, int]
+    sw: int
     int_profile: IntProfile
     dimension: int
 
     def __post_init__(self):
         algebra, dimension = self.algebra, self.dimension
-        components: Dict[int, int] = {}
-        for degree, mask in self.sw.items():
-            if not mask:
-                continue
-            if degree < 1:
-                raise ModelError("positive-degree components only; w_0 is implicit")
-            for i in _bits(mask):
-                if algebra.degrees[i] != degree:
-                    raise ModelError(
-                        f"sw component in degree {degree} contains {algebra.names[i]!r} "
-                        f"of degree {algebra.degrees[i]}"
-                    )
-            components[degree] = mask
+        # range first: a negative int never runs out of bits
+        if self.sw < 0 or self.sw >> len(algebra.names):
+            raise ModelError("the total SW class is not a mask over the basis")
+        if self.w(0).mask != algebra.one().mask:
+            raise ModelError("the total SW class must have the unit as its degree-0 part")
         # a closed n-manifold has H^n(M; F2) != 0 and nothing above degree n
         if algebra.top_degree != dimension:
             raise ModelError(
@@ -332,12 +325,11 @@ class SpaceModel:
                     f"universal-coefficient mismatch in degree {degree}: "
                     f"mod-2 dimension {actual}, integral profile predicts {expected}"
                 )
-        object.__setattr__(self, "sw", MappingProxyType(components))
 
     def w(self, degree: int) -> F2Element:
-        if degree == 0:
-            return self.algebra.one()
-        return F2Element(self.algebra, self.sw.get(degree, 0))
+        """w_degree: the degree-``degree`` part of the total class."""
+        degrees = self.algebra.degrees
+        return F2Element(self.algebra, sum(1 << i for i in _bits(self.sw) if degrees[i] == degree))
 
 
 @cache
@@ -359,7 +351,7 @@ def point_model() -> SpaceModel:
     return SpaceModel(
         name="point",
         algebra=algebra,
-        sw={},
+        sw=algebra.one().mask,
         int_profile=IntProfile.from_mapping({0: (1, ())}),
         dimension=0,
     )
@@ -372,7 +364,7 @@ def sphere_model(n: int) -> SpaceModel:
     return SpaceModel(
         name=f"sphere-{n}",
         algebra=algebra,
-        sw={},
+        sw=algebra.one().mask,
         int_profile=IntProfile.from_mapping({0: (1, ()), n: (1, ())}),
         dimension=n,
     )
@@ -414,12 +406,6 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     algebra = F2Algebra(names, degrees, f"{left.unit}⊗{right.unit}", mul)
 
     # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
-    sw: Dict[int, int] = {}
-    for i, x in ((0, left.mask([left.unit])), *a.sw.items()):
-        for j, y in ((0, right.mask([right.unit])), *b.sw.items()):
-            sw[i + j] = sw.get(i + j, 0) ^ _tensor(x, y, width)
-    del sw[0]
-
     free: Counter = Counter()
     torsion: Dict[int, List[int]] = defaultdict(list)
     for i, (fa, ta) in a.int_profile.groups.items():
@@ -434,7 +420,8 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     return SpaceModel(
         name=f"{a.name} x {b.name}",
         algebra=algebra,
-        sw=sw,
+        # the Whitney product formula (Milnor-Stasheff, Sec. 4): w(M x N) = w(M) ⊗ w(N)
+        sw=_tensor(a.sw, b.sw, width),
         int_profile=IntProfile.from_mapping(profile),
         dimension=a.dimension + b.dimension,
     )
@@ -721,15 +708,24 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     except AlgebraError as err:
         raise ModelError(f"field {err.field!r}: {err}") from err
 
-    sw = {}
+    sw = algebra.one().mask
     for key, names in _require(doc, "sw", dict).items():
         degree = _degree_key("sw", key)
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ModelError(f"field 'sw[{key}]': expected a list of basis names")
         try:
-            sw[degree] = algebra.mask(names)
+            mask = algebra.mask(names)
         except AlgebraError as err:
             raise ModelError(f"field 'sw[{key}]': {err}") from err
+        if mask and degree < 1:
+            raise ModelError("positive-degree components only; w_0 is implicit")
+        for i in _bits(mask):
+            if algebra.degrees[i] != degree:
+                raise ModelError(
+                    f"sw component in degree {degree} contains {algebra.names[i]!r} "
+                    f"of degree {algebra.degrees[i]}"
+                )
+        sw |= mask
 
     profile_data = {}
     for key, entry in _require(doc, "int_profile", dict).items():
@@ -781,7 +777,7 @@ def _check_closed_manifold(model: SpaceModel) -> None:
                 f"field 'products': cup pairing degenerate in degree {d} "
                 f"(H^{d} x H^{n - d} -> H^{n})"
             )
-    orientable = not model.sw.get(1)
+    orientable = model.w(1).is_zero()
     free = model.int_profile.free(n)
     if orientable != (free == 1):
         raise ModelError(

@@ -18,7 +18,11 @@ def space_model_to_dict(model: SpaceModel) -> dict:
         for j in non_unit[k:]:
             result = sorted(names[b] for b in _bits(algebra.mul[i][j]))
             products.append([names[i], names[j], result])
-    sw = {str(d): sorted(names[b] for b in _bits(model.sw[d])) for d in sorted(model.sw)}
+    sw = {}
+    for d in range(1, model.dimension + 1):
+        component = model.w(d)
+        if not component.is_zero():
+            sw[str(d)] = sorted(component.support)
     profile = {
         str(d): {"free": free, "torsion": list(tors)}
         for d, (free, tors) in model.int_profile.groups.items()

@@ -25,10 +25,15 @@ from spincert.exact import odd_part
 
 
 def _mutable_paths(value, path):
-    """Paths to the lists, dicts and sets reachable from ``value`` through containers."""
+    """Paths to the lists, dicts and sets reachable from ``value``, nested certificates included."""
     if isinstance(value, (list, dict, set)):
         yield path
-    if isinstance(value, Mapping):
+    if isinstance(value, Certificate):
+        yield from _mutable_paths(value.parameters, f"{path}.parameters")
+        yield from _mutable_paths(value.witnesses, f"{path}.witnesses")
+        for check in value.checks:
+            yield from _mutable_paths((check.lhs, check.rhs), f"{path}.checks[{check.name!r}]")
+    elif isinstance(value, Mapping):
         for key, item in value.items():
             yield from _mutable_paths(item, f"{path}[{key!r}]")
     elif isinstance(value, (tuple, list, set)):
@@ -495,7 +500,7 @@ class TestKleinObstruction:
         assert cert.verdict == "excluded"
         assert cert.claim == "not-pin^{3+}-and-not-pin^{3-}"
         assert cert.parameters["dimension"] == 10
-        assert cert.witnesses["factor_certificate"]["claim"] == "not-spin^h"
+        assert cert.witnesses["factor_certificate"].claim == "not-spin^h"
 
     def test_from_wu_square(self):
         base = mod2.w5_verdict(mod2.kunneth(mod2.wu_manifold(), mod2.wu_manifold()))
@@ -655,20 +660,15 @@ class TestCertificateType:
             ),
             lambda: genus.mayer_integrality_check(certify.RHCModel(2, 33, 33, 45, 1230), 3),
             lambda: mod2.w5_verdict(mod2.kunneth(mod2.wu_manifold(), mod2.wu_manifold())),
+            lambda: certify.klein_product_pin_obstruction(certify.nonspinh8_certificate(0)),
         ],
         ids=[
             "realization", "bound", "non-spinh8", "structure", "product", "factor",
-            "connected-sum", "mayer", "w5",
+            "connected-sum", "mayer", "w5", "klein",
         ],
     )
     def test_nothing_mutable_inside_a_certificate(self, build):
-        cert = build()
-        roots = {"parameters": cert.parameters, "witnesses": cert.witnesses}
-        for check in cert.checks:
-            roots[f"{check.name}: lhs"] = check.lhs
-            roots[f"{check.name}: rhs"] = check.rhs
-        paths = [path for name, value in roots.items() for path in _mutable_paths(value, name)]
-        assert paths == []
+        assert list(_mutable_paths(build(), "certificate")) == []
 
     def test_every_spincert_dataclass_is_frozen(self):
         found = {}

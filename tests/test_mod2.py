@@ -41,11 +41,7 @@ def projective_space(n, gen_degree):
             for j in range(i, n + 1)
         },
     )
-    sw = {
-        gen_degree * i: algebra.mask([names[i]])
-        for i in range(1, n + 1)
-        if comb(n + 1, i) % 2
-    }
+    sw = algebra.mask([names[i] for i in range(n + 1) if comb(n + 1, i) % 2])
     if gen_degree == 2:
         profile = {2 * i: (1, ()) for i in range(n + 1)}
     else:
@@ -89,24 +85,25 @@ def random_model(rng, name):
         for k in range(size - (degree == 0))
     ]
     algebra = build_algebra(basis, {})
-    sw = {}
+    sw = algebra.one().mask
     for degree in range(1, dimension + 1):
         names = [n for n, d in basis if d == degree and rng.random() < 0.5]
-        sw[degree] = algebra.mask(names)
+        sw |= algebra.mask(names)
     return mod2.SpaceModel(name, algebra, sw, profile, dimension)
 
 
 def dense_kunneth_sw_and_profile(a, b):
-    """Slow oracle: the product SW class and profile summed over every degree pair."""
+    """Slow oracle: the product SW class and profile summed over every degree pair.
+
+    The class is summed degree by degree, w_d = sum over i of w_i ⊗ w_(d - i),
+    and returned as the total over d = 0..dimension.
+    """
     width = len(b.algebra.names)
     dimension = a.dimension + b.dimension
-    sw = {}
-    for degree in range(1, dimension + 1):
-        mask = 0
+    sw = 0
+    for degree in range(dimension + 1):
         for i in range(degree + 1):
-            mask ^= mod2._tensor(a.w(i).mask, b.w(degree - i).mask, width)
-        if mask:
-            sw[degree] = mask
+            sw ^= mod2._tensor(a.w(i).mask, b.w(degree - i).mask, width)
 
     profile = {}
     for degree in range(dimension + 1):
@@ -245,7 +242,7 @@ class TestWuManifold:
         expected = mod2.SpaceModel(
             name="wu-manifold",
             algebra=algebra,
-            sw={2: algebra.mask(["z2"]), 3: algebra.mask(["z3"])},
+            sw=algebra.mask(["1", "z2", "z3"]),
             int_profile=IntProfile.from_mapping({0: (1, ()), 3: (0, (2,)), 5: (1, ())}),
             dimension=5,
         )
@@ -255,13 +252,11 @@ class TestWuManifold:
         wu = wu_manifold()
         assert wu_manifold() is wu
         with pytest.raises(dataclasses.FrozenInstanceError):
-            wu.sw = {}
+            wu.sw = 0
 
     @pytest.mark.parametrize(
         "write, error",
         [
-            (lambda wu: operator.setitem(wu.sw, 4, wu.algebra.mask(["z2"])), TypeError),
-            (lambda wu: operator.delitem(wu.sw, 2), TypeError),
             (lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())), TypeError),
             (lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0), TypeError),
             (lambda wu: operator.setitem(wu.algebra.mul, 1, ()), TypeError),
@@ -273,7 +268,7 @@ class TestWuManifold:
             (lambda wu: setattr(wu.algebra, "unit", "z2"), dataclasses.FrozenInstanceError),
         ],
         ids=[
-            "sw-set", "sw-delete", "groups", "mul-row", "mul", "index-entry",
+            "groups", "mul-row", "mul", "index-entry",
             "algebra-mul", "algebra-names", "algebra-index", "algebra-degrees", "algebra-unit",
         ],
     )
@@ -283,6 +278,20 @@ class TestWuManifold:
             write(wu)
         assert wu_manifold().algebra.mask(["z2"]) == 2
         assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
+
+    @pytest.mark.parametrize(
+        "total, message",
+        [
+            (lambda wu: -1, "not a mask over the basis"),
+            (lambda wu: wu.sw | 1 << 4, "not a mask over the basis"),
+            (lambda wu: wu.sw ^ wu.algebra.one().mask, "the unit as its degree-0 part"),
+        ],
+        ids=["negative", "bit-outside-the-basis", "no-unit"],
+    )
+    def test_total_class_must_be_a_graded_total(self, total, message):
+        wu = wu_manifold()
+        with pytest.raises(ModelError, match=message):
+            mod2.SpaceModel("bad", wu.algebra, total(wu), wu.int_profile, 5)
 
     def test_uct_mismatch_detected(self):
         wu = wu_manifold()
@@ -410,6 +419,11 @@ class TestKunneth:
                     want |= y << (i * width)
             assert mod2._tensor(x, y, width) == want
 
+    def test_product_class_is_the_tensor_of_the_totals(self):
+        # the Whitney product formula: w(M x M) = w(M) ⊗ w(M), on the 4-element basis of Wu
+        wu = wu_manifold()
+        assert kunneth(wu, wu).sw == mod2._tensor(wu.sw, wu.sw, 4)
+
     def test_sparse_sums_match_the_dense_oracle(self):
         rng = random.Random(9)
         models = [random_model(rng, f"m{k}") for k in range(201)]
@@ -446,7 +460,7 @@ class TestW4Lift:
         model = mod2.SpaceModel(
             "synthetic-8",
             algebra,
-            {4: algebra.mask(["x4"])},
+            algebra.mask(["1", "x4"]),
             IntProfile.from_mapping({0: (1, ()), 4: (1, ()), 8: (1, ())}),
             8,
         )
@@ -489,7 +503,7 @@ class TestW5Verdict:
         model = mod2.SpaceModel(
             "synthetic-5",
             algebra,
-            {1: algebra.mask(["a1"]), 4: algebra.mask(["b4"])},
+            algebra.mask(["1", "a1", "b4"]),
             IntProfile.from_mapping({0: (1, ()), 2: (0, (2,)), 5: (0, (2,))}),
             5,
         )
