@@ -201,7 +201,7 @@ def _cmd_wu_product(args) -> Certificate:
             raise UsageError("wu-product needs a space model, not an rhc model")
     else:
         model = mod2.wu_manifold()
-    return mod2.w5_verdict(mod2.kunneth(model, model))
+    return mod2.product_w5_verdict(model, model)
 
 
 def _cmd_pin_table(args) -> Dict:

@@ -390,12 +390,24 @@ def _tensor(x: int, y: int, width: int) -> int:
     return y * _spread(x, width)
 
 
-def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
-    """Product model: tensor algebra, product SW class, combined profile."""
-    left, right = a.algebra, b.algebra
-    width = len(right.names)
+def _product_basis(
+    left: F2Algebra, right: F2Algebra
+) -> Tuple[Tuple[str, ...], Tuple[int, ...], str]:
+    """Names, degrees and unit of the tensor basis, in row-major pair order."""
     names = tuple(f"{x}⊗{y}" for x in left.names for y in right.names)
     degrees = tuple(dx + dy for dx in left.degrees for dy in right.degrees)
+    return names, degrees, f"{left.unit}⊗{right.unit}"
+
+
+def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
+    """Product model: tensor algebra, product SW class, combined profile.
+
+    This builds the product's whole table; the CLI reads the W5 verdict of a
+    product from its factors (:func:`product_w5_verdict`), and this is the
+    reference that verdict is tested against.
+    """
+    left, right = a.algebra, b.algebra
+    width = len(right.names)
     # the tensor product of two algebras that satisfy the axioms satisfies them
     # too (over F2 graded commutativity has no signs), so the table is not checked;
     # each entry is _tensor(u, v, width), with u spread once per left entry
@@ -403,7 +415,7 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     mul = tuple(
         tuple(s * v for s in row_s for v in row_b) for row_s in spread for row_b in right.mul
     )
-    algebra = F2Algebra(names, degrees, f"{left.unit}⊗{right.unit}", mul)
+    algebra = F2Algebra(*_product_basis(left, right), mul)
 
     # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
     free: Counter = Counter()
@@ -446,26 +458,69 @@ def w4_integral_lift_exists(model: SpaceModel) -> str:
 
 def w5_verdict(model: SpaceModel) -> Certificate:
     """Primary spin^h obstruction: W5 = 0 exactly when w4 lifts integrally."""
-    lift = w4_integral_lift_exists(model)
-    w4 = model.w(4)
-    h4 = model.int_profile.group_text(4)
+    return _w5_certificate(
+        model.name,
+        model.dimension,
+        model.w(1).is_zero(),
+        str(model.w(4)),
+        model.int_profile.group_text(4),
+        w4_integral_lift_exists(model),
+    )
+
+
+def product_w5_verdict(a: SpaceModel, b: SpaceModel) -> Certificate:
+    """``w5_verdict(kunneth(a, b))``, read from the factors without the product's table.
+
+    The product's basis names are refused as ``kunneth`` refuses them, first
+    duplicate first.  By the Whitney product formula w4(a x b) is the sum of
+    w_i(a) ⊗ w_(4-i)(b); each i has its own bidegree, so no term cancels.  By
+    the Kunneth formula H^4(a x b; Z) is the sum of H^i ⊗ H^(4-i) and of
+    Tor(H^i, H^(5-i)).
+    """
+    _basis_index(*_product_basis(a.algebra, b.algebra))
+    w4 = sorted(
+        f"{x}⊗{y}" for i in range(5) for x in a.w(i).support for y in b.w(4 - i).support
+    )
+    pb = b.int_profile
+    free, torsion = 0, []
+    for i, (fa, ta) in a.int_profile.groups.items():
+        fb, tb = pb.free(4 - i), pb.torsion(4 - i)
+        free += fa * fb
+        torsion += [*tb] * fa + [*ta] * fb
+        torsion += [gcd(s, t) for s in ta for t in (*tb, *pb.torsion(5 - i)) if gcd(s, t) > 1]
+    h4 = IntProfile.from_mapping({4: (free, torsion)})
+    lift = "yes" if not w4 else "no" if h4.is_trivial(4) else "unknown"
+    return _w5_certificate(
+        f"{a.name} x {b.name}",
+        a.dimension + b.dimension,
+        a.w(1).is_zero() and b.w(1).is_zero(),
+        " + ".join(w4) or "0",
+        h4.group_text(4),
+        lift,
+    )
+
+
+def _w5_certificate(
+    name: str, dimension: int, orientable: bool, w4: str, h4: str, lift: str
+) -> Certificate:
+    """The W5 certificate from w4 and H^4(Z) as text and the lift answer."""
     claim, verdict = {
         "yes": ("w5-obstruction-vanishes", ESTABLISHED),
         "no": ("not-spin^h", EXCLUDED),
         "unknown": ("w5-obstruction-undetermined", INCONCLUSIVE),
     }[lift]
-    checks = [Check("w4 component", str(w4), "0", "=" if lift == "yes" else "!=", True)]
+    checks = [Check("w4 component", w4, "0", "=" if lift == "yes" else "!=", True)]
     if lift != "yes":
         relation = "=" if lift == "no" else "!="
         checks.append(Check("degree-4 integral cohomology", h4, "0", relation, True))
     return Certificate(
         claim=claim,
         parameters={
-            "model": model.name,
-            "dimension": model.dimension,
+            "model": name,
+            "dimension": dimension,
             "k": 3,
-            "orientable": model.w(1).is_zero(),
-            "w4": str(w4),
+            "orientable": orientable,
+            "w4": w4,
             "H4_integral": h4,
         },
         checks=checks,
@@ -612,12 +667,12 @@ def twist_then_sum(k: int) -> SymbolicSW:
 
 # -- document interface -----------------------------------------------------
 
-# wu-product squares a document's model, and building the square's N^2 x N^2 table
-# dominates: on RP^n documents the whole process took 0.13-0.17 / 0.15-0.16 / 0.22 /
-# 0.45-0.49 / 0.95-1.04 s and peaked at 19 / 26 / 58 / 152 / 377 MB at 16 / 24 / 32 /
-# 40 / 48 basis elements (Python 3.11.7, shared 2-vCPU host); memory more than time
-# keeps the cap at 32
-MODEL_MAX_BASIS = 32
+# wu-product reads the square from the factor, so loading the document dominates, and
+# its associativity check grows like N^4 on a dense table: the whole process took
+# 0.13-0.22 / 0.49-0.53 s on RP^n documents and 0.34-0.58 / 4.8-5.0 s on a dimension-3
+# document with dense degree-1 products, at 64 / 128 basis elements, peaking below 30 MB
+# (Python 3.11.7, shared 2-vCPU host); the dense document keeps the cap at 64
+MODEL_MAX_BASIS = 64
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:

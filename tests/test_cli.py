@@ -179,9 +179,10 @@ class TestExitCodes:
             raise AssertionError("a product table past the budget was validated")
 
         monkeypatch.setattr(mod2, "build_algebra", build)
-        path = tmp_path / "cp32.json"
-        path.write_text(json.dumps(_truncated_ring_document(32)))
-        message = f"spincert {command}: error: field 'basis': at most 32 elements, got 33"
+        cap = mod2.MODEL_MAX_BASIS
+        path = tmp_path / "over-cap.json"
+        path.write_text(json.dumps(_truncated_ring_document(cap)))
+        message = f"spincert {command}: error: field 'basis': at most {cap} elements, got {cap + 1}"
         assert run([command, "--model", str(path), *flags]) == (2, message)
         assert run([command, "--model", str(path), *flags, "--json"]) == (2, message)
 
@@ -426,6 +427,21 @@ class TestModelLoading:
         assert json.loads(document)["parameters"]["H4_integral"] == "0"
         groups = mod2.kunneth(sphere, sphere).int_profile.groups
         assert groups == {0: (1, ()), 10**6: (2, ()), 2 * 10**6: (1, ())}
+
+    def test_wu_product_builds_no_product_table(self, monkeypatch, tmp_path):
+        golden = (GOLDEN / "wu-product.json").read_text()
+
+        def refuse(*args):
+            raise AssertionError("wu-product built the product's table")
+
+        monkeypatch.setattr(mod2, "kunneth", refuse)
+        n = mod2.MODEL_MAX_BASIS - 1
+        path = tmp_path / "at-cap.json"
+        path.write_text(json.dumps(_truncated_ring_document(n)))
+        code, document = run(["wu-product", "--model", str(path), "--json"])
+        parameters = json.loads(document)["parameters"]
+        assert (code, parameters["model"], parameters["H4_integral"]) == (0, f"CP{n} x CP{n}", "Z^3")
+        assert run(["wu-product", "--json"]) == (1, golden.removesuffix("\n"))
 
     def test_mayer_check_with_model_file(self):
         path = resources.files("spincert").joinpath("data/rhc8-a0.json")

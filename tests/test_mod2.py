@@ -171,6 +171,17 @@ def oracle_whitney_sum(a, b):
     return out
 
 
+def product_verdicts(a, b):
+    """The W5 document of a x b from the factors and from kunneth's product, or each refusal."""
+    out = []
+    for read in (mod2.product_w5_verdict, lambda x, y: w5_verdict(kunneth(x, y))):
+        try:
+            out.append(json.dumps(read(a, b).to_dict()))
+        except AlgebraError as err:
+            out.append(f"refused: {err}")
+    return out
+
+
 class TestBuildAlgebra:
     def test_ground_field(self):
         algebra = build_algebra([("1", 0)], {})
@@ -518,6 +529,49 @@ class TestW5Verdict:
         assert w5_verdict(kunneth(wu, wu)).parameters["orientable"] is True
 
 
+class TestProductW5Verdict:
+    """product_w5_verdict against w5_verdict of kunneth's product, the slow oracle."""
+
+    def test_random_pairs_match_the_product(self):
+        rng = random.Random(25)
+        models = [random_model(rng, f"m{k}") for k in range(200)]
+        seen = set()
+        for a, b in [*zip(models, models[1:]), *zip(models, models)]:
+            factor_wise, oracle = product_verdicts(a, b)
+            assert factor_wise == oracle, (a, b)
+            seen.add(json.loads(oracle)["verdict"])
+            if a.w(1).is_zero() != b.w(1).is_zero():
+                seen.add("one-factor-orientable")
+            for i, (_, ta) in a.int_profile.groups.items():
+                if any(gcd(s, t) > 1 for s in ta for t in b.int_profile.torsion(5 - i)):
+                    seen.add("tor-into-degree-4")
+        # no random pair is excluded: the named products below cover that verdict
+        assert seen == {"established", "inconclusive", "one-factor-orientable", "tor-into-degree-4"}
+
+    @pytest.mark.parametrize("gen_degree", [1, 2], ids=["RP", "CP"])
+    def test_projective_squares_match_the_product(self, gen_degree):
+        for n in range(1, 32):
+            model = projective_space(n, gen_degree)
+            factor_wise, oracle = product_verdicts(model, model)
+            assert factor_wise == oracle, n
+
+    def test_named_products_match_the_product(self):
+        wu, spheres = wu_manifold(), [sphere_model(k) for k in range(1, 10)]
+        pairs = [(wu, wu), (wu, point_model()), (point_model(), point_model())]
+        pairs += [(a, b) for a in spheres for b in spheres]
+        pairs += [(kunneth(wu, s), kunneth(wu, s)) for s in spheres]
+        pairs += [(wu, s) for s in spheres] + [(s, wu) for s in spheres]
+        # the 128-element chain (Wu x Wu x S^3 x S^2) x S^1
+        chain = kunneth(kunneth(kunneth(wu, wu), sphere_model(3)), sphere_model(2))
+        pairs.append((chain, sphere_model(1)))
+        verdicts = set()
+        for a, b in pairs:
+            factor_wise, oracle = product_verdicts(a, b)
+            assert factor_wise == oracle, (a.name, b.name)
+            verdicts.add(json.loads(oracle)["verdict"])
+        assert verdicts == {"established", "excluded", "inconclusive"}
+
+
 class TestSymbolicBundles:
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError, match="rank must be >= 1"):
@@ -722,10 +776,12 @@ class TestModelDocuments:
         except ModelError:
             return
         assert isinstance(model, mod2.SpaceModel)
+        factor_wise, oracle = product_verdicts(model, model)
+        assert factor_wise == oracle
 
     def test_basis_at_the_cap_loads(self):
-        doc = json.loads(space_model_to_json(projective_space(31, 2)))
-        assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS == 32
+        doc = json.loads(space_model_to_json(projective_space(mod2.MODEL_MAX_BASIS - 1, 2)))
+        assert len(mod2.space_model_from_dict(doc).algebra.names) == mod2.MODEL_MAX_BASIS
 
     def test_shipped_wu_document_matches_constructor(self):
         shipped = resources.files("spincert").joinpath("data/wu.json").read_bytes()
