@@ -114,11 +114,11 @@ def render_text(doc: Dict) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
-# degree 24 takes 0.23-0.32 s for the whole process, and the engine's time about
+# degree 24 takes 0.21-0.32 s for the whole process, and the engine's time about
 # doubles every two degrees
 GENUS_MAX_DEGREE = 24
-# s-coeffs --m 64 takes about 0.3 s and mayer-check about 0.5 s for the whole
-# process; the series of 2m + 1 terms and its log-derivative cost five to seven
+# s-coeffs --m 64 takes 0.12-0.16 s and mayer-check 0.16-0.23 s for the whole
+# process; the series of 2m + 1 terms and its log-derivative cost four to nine
 # times more per doubling of m
 M_MAX = 64
 # pin-table builds one row per dimension: 100000 rows take about 0.7 s and 5 MB
@@ -137,11 +137,11 @@ def _cmd_genus(args) -> Dict:
     if args.degree > GENUS_MAX_DEGREE:
         raise UsageError(f"genus: --degree must be <= {GENUS_MAX_DEGREE}")
     series = _SERIES[args.series](args.degree)
-    polys = genus.genus_polynomials(series, args.degree)
+    texts = genus.genus_texts(series, args.degree)
     return {
         "series": args.series,
         "degree": args.degree,
-        "polynomials": {f"K{j + 1}": str(p) for j, p in enumerate(polys)},
+        "polynomials": {f"K{j + 1}": text for j, text in enumerate(texts)},
     }
 
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import mul
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
 from .exact import bernoulli
@@ -88,27 +89,32 @@ class PontryaginPolynomial:
         return f"PontryaginPolynomial({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: List[str] = []
-        for mono in sorted(self.terms, key=lambda m: (_mono_weight(m), m)):
-            coeff = self.terms[mono]
-            num, den = coeff.numerator, coeff.denominator
-            body = "*".join(
-                name if exp == 1 else f"{name}^{exp}" for name, exp in mono
+        return _text(
+            (mono, coeff.numerator, coeff.denominator)
+            for mono, coeff in sorted(
+                self.terms.items(), key=lambda item: (_mono_weight(item[0]), item[0])
             )
-            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
-            if not body:
-                piece = mag
-            elif mag == "1":
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not parts:
-                parts.append(piece if num > 0 else f"-{piece}")
-            else:
-                parts.append(f"+ {piece}" if num > 0 else f"- {piece}")
-        return " ".join(parts)
+        )
+
+
+def _text(items: Iterable[Tuple[Monomial, int, int]]) -> str:
+    # terms (monomial, numerator, denominator) in print order, each in lowest
+    # terms with a positive denominator, as "-1/45*p1^2 + 7/45*p2"
+    parts: List[str] = []
+    for mono, num, den in items:
+        body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+        if not body:
+            piece = mag
+        elif mag == "1":
+            piece = body
+        else:
+            piece = f"{mag}*{body}"
+        if not parts:
+            parts.append(piece if num > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if num > 0 else f"- {piece}")
+    return " ".join(parts) or "0"
 
 
 # -- characteristic power series ---------------------------------------
@@ -139,11 +145,27 @@ class CharacteristicSeries:
 
 def _series_quotient(num: List[Fraction | int], den: List[Fraction]) -> Tuple[Fraction, ...]:
     # q = num / den through the length of num, den_0 = 1:
-    # q_k = num_k - sum_{0<i<=k} den_i q_(k-i)
-    out: List[Fraction] = []
+    # q_k = num_k - sum_{0<i<=k} den_i q_(k-i).  With den_i = big_i / e over
+    # one common denominator e, and q_0..q_(k-1) = top_i / m over one running
+    # denominator m, the sum is (sum_i big_i top_(k-i)) / (e m), all in ints.
+    den = den[: len(num)]
+    e = lcm(*(den_i.denominator for den_i in den))
+    big = [den_i.numerator * (e // den_i.denominator) for den_i in den]
+    tops: List[int] = []
+    out: List[Tuple[int, int]] = []
+    m = 1
     for k, num_k in enumerate(num):
-        out.append(num_k - sum(den[i] * out[k - i] for i in range(1, k + 1)))
-    return tuple(out)
+        s = sum(map(mul, big[1 : k + 1], reversed(tops)))
+        a, b = num_k.numerator * e * m - num_k.denominator * s, num_k.denominator * e * m
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if m % b:
+            grow = b // gcd(m, b)
+            tops = [top * grow for top in tops]
+            m *= grow
+        tops.append(a * (m // b))
+        out.append((a, b))
+    return tuple(Fraction(a, b) for a, b in out)
 
 
 def _log_derivative(series: CharacteristicSeries, n: int) -> Tuple[Fraction, ...]:
@@ -214,10 +236,10 @@ def _power_sums(n: int) -> List[Bucket]:
     return sums
 
 
-def genus_polynomials(
+def _genus_buckets(
     series: CharacteristicSeries, n: int
-) -> List[PontryaginPolynomial]:
-    """The polynomials K_1..K_n of the multiplicative sequence of ``series``."""
+) -> Tuple[List[Bucket], List[int]]:
+    # K_1..K_n, each an integer bucket over its denominator, in lowest terms
     if n < 1:
         raise ValueError("n must be >= 1")
     if series.max_degree < n:
@@ -226,31 +248,58 @@ def genus_polynomials(
         )
     # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
     # dK = dg K reads j K_j = sum_{k<=j} d_k ps_k K_(j-k), where d_k = k l_k
-    # are the coefficients of zQ'/Q.  K_j is kept as an integer bucket
-    # nums[j] over the denominator dens[j], in lowest terms.
+    # are the coefficients of zQ'/Q, here top_k / dd over one denominator dd.
+    # With below = lcm(dens[<j]), every weight d_k / (j dens[j-k]) is an
+    # integer over j dd below, and one gcd brings K_j to lowest terms.
     d = _log_derivative(series, n)
+    dd = lcm(*(dk.denominator for dk in d))
+    top = [dk.numerator * (dd // dk.denominator) for dk in d]
     sums = _power_sums(n)
-    nums, dens = [{0: 1}], [1]
+    nums, dens, below = [{0: 1}], [1], 1
     for j in range(1, n + 1):
-        weights = [d[k] / (j * dens[j - k]) for k in range(1, j + 1)]
-        den = lcm(*(w.denominator for w in weights))
+        below = lcm(below, dens[j - 1])
+        den = j * dd * below
         acc: Bucket = {}
         get = acc.get
-        for k, w in enumerate(weights, 1):
+        for k in range(1, j + 1):
+            w = top[k] * (below // dens[j - k])
             lower = nums[j - k].items()
             for ma, ca in sums[k - 1].items():
-                c = ca * w.numerator * (den // w.denominator)
+                c = ca * w
                 for mb, cb in lower:
                     key = ma + mb
                     acc[key] = get(key, 0) + c * cb
         g = gcd(den, *acc.values())
-        nums.append({mono: c // g for mono, c in acc.items()})
+        nums.append({mono: c // g for mono, c in acc.items() if c})
         dens.append(den // g)
+    return nums[1:], dens[1:]
+
+
+def genus_polynomials(
+    series: CharacteristicSeries, n: int
+) -> List[PontryaginPolynomial]:
+    """The polynomials K_1..K_n of the multiplicative sequence of ``series``."""
+    nums, dens = _genus_buckets(series, n)
     names = [f"p{i}" for i in range(1, n + 1)]
     return [
         PontryaginPolynomial({_named(m, names): Fraction(c, d) for m, c in bucket.items()})
-        for bucket, d in zip(nums[1:], dens[1:])
+        for bucket, d in zip(nums, dens)
     ]
+
+
+def genus_texts(series: CharacteristicSeries, n: int) -> List[str]:
+    """``str`` of K_1..K_n, printed straight from the integer buckets."""
+    nums, dens = _genus_buckets(series, n)
+    names = [f"p{i}" for i in range(1, n + 1)]
+    texts = []
+    for bucket, den in zip(nums, dens):
+        items = []
+        for m, c in bucket.items():
+            g = gcd(c, den)
+            items.append((_named(m, names), c // g, den // g))
+        # K_j is homogeneous, so the named monomial alone gives __str__'s order
+        texts.append(_text(sorted(items)))
+    return texts
 
 
 # -- signature-sequence coefficients -----------------------------------

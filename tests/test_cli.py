@@ -92,6 +92,18 @@ class TestGoldenFiles:
         assert got_code == code
         assert (document + "\n").encode() == (GOLDEN / name).read_bytes()
 
+    def test_genus_prints_from_the_buckets(self, monkeypatch):
+        # the CLI reads K_j as text straight from the engine, with no
+        # PontryaginPolynomial built on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("the genus command built polynomial objects")
+
+        monkeypatch.setattr(genus, "genus_polynomials", refuse)
+        monkeypatch.setattr(genus, "PontryaginPolynomial", refuse)
+        code, document = run(["genus", "--series", "L", "--degree", "12"])
+        assert code == 0
+        assert (document + "\n").encode() == (GOLDEN / "genus-L-12.txt").read_bytes()
+
     def test_byte_stable_across_runs(self):
         first = run(["non-spinh8", "--a", "0", "--json"])
         second = run(["non-spinh8", "--a", "0", "--json"])

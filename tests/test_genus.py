@@ -189,6 +189,45 @@ def _ahat_series_by_inversion(n):
     return tuple(_series_inverse(den, n))
 
 
+def _fraction_series_quotient(num, den):
+    # the quotient recurrence in Fraction arithmetic, term by term:
+    # q_k = num_k - sum_{0<i<=k} den_i q_(k-i)
+    out = []
+    for k, num_k in enumerate(num):
+        out.append(num_k - sum(den[i] * out[k - i] for i in range(1, k + 1)))
+    return tuple(out)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@st.composite
+def _quotient_inputs(draw):
+    # den_i over prime powers, so the running denominator of the quotient
+    # takes a new prime factor at many steps
+    size = draw(st.integers(1, 30))
+    num = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    den = [Fraction(1)]
+    for _ in range(size - 1):
+        top = draw(st.integers(-9, 9))
+        bottom = draw(st.sampled_from(_PRIMES)) ** draw(st.integers(0, 2))
+        den.append(Fraction(top, bottom))
+    return num, den
+
+
+@st.composite
+def _random_series(draw):
+    # Fraction coefficients with mixed denominators, negatives and zeros
+    n = draw(st.integers(1, 8))
+    coefficient = st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 40)),
+    )
+    rest = draw(st.lists(coefficient, min_size=n, max_size=n))
+    return genus.CharacteristicSeries((1, *rest)), n
+
+
 # -- the first K-theoretic twist class, expanded in p-classes ---------------
 
 
@@ -369,6 +408,12 @@ class TestSeries:
             logs = _series_log(series.coefficients, n)
             assert genus._log_derivative(series, n) == tuple(k * l for k, l in enumerate(logs)), n
 
+    @settings(max_examples=200, deadline=None)
+    @given(_quotient_inputs())
+    def test_integer_quotient_matches_the_fraction_recurrence(self, inputs):
+        num, den = inputs
+        assert genus._series_quotient(num, den) == _fraction_series_quotient(num, den)
+
     def test_mayer_series(self):
         coeffs = genus.mayer_series(3).coefficients
         assert coeffs[0] == 1
@@ -412,10 +457,9 @@ class TestGenusPolynomials:
         assert polys[1] == A2
 
     def test_trivial_series(self):
-        polys = genus.genus_polynomials(
-            genus.CharacteristicSeries((Fraction(1),) + (Fraction(0),) * 3), 3
-        )
-        assert all(p.is_zero() for p in polys)
+        series = genus.CharacteristicSeries((Fraction(1),) + (Fraction(0),) * 3)
+        assert all(p.is_zero() for p in genus.genus_polynomials(series, 3))
+        assert genus.genus_texts(series, 3) == ["0"] * 3
 
     def test_results_are_not_shared(self):
         series = genus.signature_series(2)
@@ -426,6 +470,8 @@ class TestGenusPolynomials:
     def test_insufficient_degree(self):
         with pytest.raises(ValueError):
             genus.genus_polynomials(genus.signature_series(2), 3)
+        with pytest.raises(ValueError, match="need 3"):
+            genus.genus_texts(genus.signature_series(2), 3)
 
     @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
     def test_against_root_expansion_oracle(self, maker):
@@ -492,6 +538,27 @@ class TestGenusPolynomials:
             ka, kb, kc = graded_values(a), graded_values(b), graded_values(c)
             for j in range(n + 1):
                 assert kc[j] == sum(ka[i] * kb[j - i] for i in range(j + 1))
+
+
+class TestGenusTexts:
+    @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
+    def test_texts_are_the_printed_polynomials(self, maker):
+        for n in range(1, 25):
+            series = maker(n)
+            texts = genus.genus_texts(series, n)
+            assert texts == [str(p) for p in genus.genus_polynomials(series, n)], n
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_series())
+    def test_texts_of_random_series(self, drawn):
+        series, n = drawn
+        assert genus.genus_texts(series, n) == [str(p) for p in genus.genus_polynomials(series, n)]
+
+    def test_one_plus_z_gives_the_pontryagin_classes(self):
+        # Q = 1 + z multiplies out to the total class 1 + p1 + p2 + ...; the
+        # recurrence reaches each K_j = p_j through terms that cancel to zero
+        series = genus.CharacteristicSeries((1, 1) + (0,) * 11)
+        assert genus.genus_texts(series, 12) == [f"p{j}" for j in range(1, 13)]
 
 
 class TestSCoefficients:
@@ -796,11 +863,12 @@ class TestPontryaginPolynomial:
     "call, message",
     [
         (lambda: genus.genus_polynomials(genus.signature_series(2), 0), "n must be >= 1"),
+        (lambda: genus.genus_texts(genus.signature_series(2), 0), "n must be >= 1"),
         (lambda: twist_class_e1(-1), "max_degree must be >= 0"),
         (lambda: genus.rhc_ahat_twist_coeffs(0), "m must be >= 1"),
         (lambda: genus.s2m_bernoulli(0), "m must be >= 1"),
     ],
-    ids=["genus-polynomials", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],
+    ids=["genus-polynomials", "genus-texts", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],
 )
 def test_out_of_range_arguments_refused(call, message):
     with pytest.raises(ValueError, match=message):
