@@ -1,10 +1,11 @@
-"""Certificate logic: realization search, exclusion bounds, combinators.
+"""Certificate logic: realization search, exclusion bounds, the Klein combinator.
 
 Non-existence enters only through the concrete obstructions (the W5
 verdict, integrality failures, the signature bound, the dimension-8
-congruence); the product and connected-sum combinators propagate
-existence one way and never infer non-existence, since the converse
-inferences are unsound.
+congruence).  Combinators never infer non-existence from existence,
+since reading an existence rule backwards is unsound: the Klein-bottle
+product only carries forward an exclusion that one of those
+obstructions has certified.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ class RHCModel:
             raise ValueError(
                 f"|sigma| = {abs(self.sigma)} exceeds the middle Betti number "
                 f"{self.middle_betti}"
+            )
+        # b - |sigma| = 2 min(b+, b-), since sigma = b+ - b- and b = b+ + b-
+        if (self.middle_betti - abs(self.sigma)) % 2:
+            raise ValueError(
+                f"sigma = {self.sigma} and the middle Betti number {self.middle_betti} "
+                "differ in parity; sigma = b+ - b- and b+ + b- agree mod 2"
             )
 
     @property
@@ -434,39 +441,24 @@ def guaranteed_structures(n: int) -> GuaranteeRow:
     )
 
 
-# -- existence combinators ----------------------------------------------------
+# -- the Klein-bottle product obstruction --------------------------------------
 
 
-def _spin_k(k: int, dimension: int, *checks: Check) -> Certificate:
-    return Certificate(
-        claim=spin_label(k),
-        parameters={"k": k, "dimension": dimension, "orientable": True},
-        checks=list(checks),
-        verdict=ESTABLISHED,
-    )
+def _premise(cert: Certificate, role: str) -> Tuple[int, int]:
+    """(k, dimension) of an exclusion, refused unless it is complete.
 
-
-def structure_certificate(k: int, dimension: int, basis: str) -> Certificate:
-    """Established spin^k claim with a recorded (possibly cited) basis."""
-    return _spin_k(k, dimension, Check("basis of the claim", basis, None, "recorded", True))
-
-
-def _premise(cert: Certificate, role: str, verdict: str) -> Tuple[int, int]:
-    """(k, dimension) of a combinator's input, refused unless it is complete.
-
-    The input must carry ``verdict`` with every check passed, claim spin^k
-    (not-spin^k for an exclusion) for its parameter k, an int >= 1, and
-    record its dimension as an int >= 0: nothing is filled in.
+    The input must be excluded with every check passed, claim not-spin^k
+    for its parameter k, an int >= 1, and record its dimension as an int
+    >= 0: nothing is filled in.
     """
-    if cert.verdict != verdict:
-        raise CertificateError(f"{role} certificate does not carry the verdict {verdict!r}")
+    if cert.verdict != EXCLUDED:
+        raise CertificateError(f"{role} certificate does not carry the verdict {EXCLUDED!r}")
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise CertificateError(f"{role} certificate has failed checks: {failed}")
     k = cert.parameters.get("k")
-    prefix, verb = ("not-", "exclude") if verdict == EXCLUDED else ("", "establish")
-    if not _is_count(k) or k < 1 or cert.claim != prefix + spin_label(k):
-        raise CertificateError(f"{role} certificate does not {verb} a spin^k structure")
+    if not _is_count(k) or k < 1 or cert.claim != "not-" + spin_label(k):
+        raise CertificateError(f"{role} certificate does not exclude a spin^k structure")
     dimension = cert.parameters.get("dimension")
     if not _is_count(dimension):
         raise CertificateError(f"{role} certificate records no dimension (an int >= 0)")
@@ -475,73 +467,6 @@ def _premise(cert: Certificate, role: str, verdict: str) -> Tuple[int, int]:
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def product_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
-    """Existence on a product: spin^k x spin^l gives spin^{k+l}.
-
-    A spin factor is absorbed: spin x spin^k gives spin^k exactly, not
-    spin^{k+1}.  Only existence propagates; a product of structures can
-    fail to exist even when both factors carry one.
-    """
-    ka, da = _premise(cert_a, "first", ESTABLISHED)
-    kb, db = _premise(cert_b, "second", ESTABLISHED)
-    if ka == 1:
-        k, rule = kb, "spin factor absorbed"
-    elif kb == 1:
-        k, rule = ka, "spin factor absorbed"
-    else:
-        k, rule = ka + kb, "exponents add"
-    return _spin_k(
-        k,
-        da + db,
-        Check("factor claims", (cert_a.claim, cert_b.claim), None, "recorded", True),
-        Check("product rule", rule, None, "recorded", True),
-    )
-
-
-def product_factor_combinator(
-    product_cert: Certificate, spin_factor_cert: Certificate
-) -> Certificate:
-    """Existence on a factor: if M is spin and M x N is spin^k, so is N."""
-    k, dimension = _premise(product_cert, "product", ESTABLISHED)
-    k_factor, factor_dimension = _premise(spin_factor_cert, "factor", ESTABLISHED)
-    if k_factor != 1:
-        raise CertificateError("factor reduction needs the known factor to be spin")
-    if factor_dimension > dimension:
-        raise CertificateError(
-            f"the spin factor's dimension {factor_dimension} exceeds the product's {dimension}"
-        )
-    claims = (product_cert.claim, spin_factor_cert.claim)
-    return _spin_k(
-        k,
-        dimension - factor_dimension,
-        Check("input claims", claims, None, "recorded", True),
-        Check("factor rule", "spin factor removed", None, "recorded", True),
-    )
-
-
-def connected_sum_combinator(cert_a: Certificate, cert_b: Certificate) -> Certificate:
-    """Existence on a connected sum of equal-dimensional summands.
-
-    For equal k the sum is again spin^k; for different exponents the
-    smaller structure is first induced up to the larger rank.
-    """
-    ka, da = _premise(cert_a, "first", ESTABLISHED)
-    kb, db = _premise(cert_b, "second", ESTABLISHED)
-    if da != db:
-        raise CertificateError(
-            f"connected sum needs equal dimensions, got {da} and {db}"
-        )
-    return _spin_k(
-        max(ka, kb),
-        da,
-        Check("summand claims", (cert_a.claim, cert_b.claim), None, "recorded", True),
-        Check("summand dimensions", (da, db), None, "=", True),
-    )
-
-
-# -- the Klein-bottle product obstruction --------------------------------------
 
 
 def klein_product_pin_obstruction(cert: Certificate) -> Certificate:
@@ -553,7 +478,7 @@ def klein_product_pin_obstruction(cert: Certificate) -> Certificate:
     conditions agree, and w_2(K) = 0 lets any such structure restrict to
     a spin^k structure on M.
     """
-    k, factor_dimension = _premise(cert, "input", EXCLUDED)
+    k, factor_dimension = _premise(cert, "input")
     if cert.parameters.get("orientable") is not True:
         raise CertificateError("the argument needs the excluded factor to be orientable")
     plus, minus = pin_label(k, "+"), pin_label(k, "-")

@@ -1,13 +1,16 @@
 import dataclasses
 import functools
 import importlib
+import inspect
 import itertools
 import json
 import pkgutil
 import random
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
+from pathlib import Path
 
 import pytest
 
@@ -396,103 +399,6 @@ class TestGuaranteedStructures:
             certify.guaranteed_structures(1)
 
 
-class TestCombinators:
-    def test_product_adds_exponents(self):
-        a = certify.structure_certificate(3, 5, "immersion")
-        b = certify.structure_certificate(2, 4, "complex structure")
-        product = certify.product_combinator(a, b)
-        assert product.claim == "spin^5"
-        assert product.parameters["dimension"] == 9
-
-    def test_spin_factor_absorbed(self):
-        spin = certify.structure_certificate(1, 3, "parallelizable")
-        other = certify.structure_certificate(4, 7, "g2")
-        assert certify.product_combinator(spin, other).claim == "spin^4"
-        assert certify.product_combinator(other, spin).claim == "spin^4"
-
-    def test_exponent_associativity(self):
-        a = certify.structure_certificate(2, 4, "a")
-        b = certify.structure_certificate(3, 5, "b")
-        c = certify.structure_certificate(4, 6, "c")
-        left = certify.product_combinator(certify.product_combinator(a, b), c)
-        right = certify.product_combinator(a, certify.product_combinator(b, c))
-        assert left.claim == right.claim == "spin^9"
-        assert left.parameters["dimension"] == right.parameters["dimension"] == 15
-
-    def test_connected_sum(self):
-        a = certify.structure_certificate(3, 8, "family member")
-        b = certify.structure_certificate(3, 8, "family member")
-        summed = certify.connected_sum_combinator(a, b)
-        assert summed.claim == "spin^h"
-        assert summed.parameters["dimension"] == 8
-
-    def test_connected_sum_dimension_mismatch(self):
-        a = certify.structure_certificate(3, 8, "x")
-        b = certify.structure_certificate(3, 10, "y")
-        with pytest.raises(CertificateError):
-            certify.connected_sum_combinator(a, b)
-
-    def test_factor_reduction(self):
-        product = certify.structure_certificate(4, 12, "product data")
-        spin = certify.structure_certificate(1, 4, "spin factor")
-        factor = certify.product_factor_combinator(product, spin)
-        assert factor.claim == "spin^4"
-        assert factor.parameters["dimension"] == 8
-
-    def test_factor_reduction_needs_a_spin_factor(self):
-        product = certify.structure_certificate(4, 12, "product data")
-        spinc = certify.structure_certificate(2, 4, "complex structure")
-        with pytest.raises(CertificateError, match="known factor to be spin"):
-            certify.product_factor_combinator(product, spinc)
-
-    def test_rejects_non_established_inputs(self):
-        excluded = certify.nonspinh8_certificate(0)
-        good = certify.structure_certificate(3, 8, "x")
-        with pytest.raises(CertificateError):
-            certify.product_combinator(excluded, good)
-        with pytest.raises(CertificateError):
-            certify.connected_sum_combinator(good, excluded)
-        mayer = genus.mayer_integrality_check(
-            certify.RHCModel(1, 1, 1, 4, 7), 1
-        )  # established but not a spin^k claim
-        with pytest.raises(CertificateError):
-            certify.product_combinator(mayer, good)
-
-    def test_factor_larger_than_the_product_is_refused(self):
-        product = certify.structure_certificate(3, 4, "product data")
-        spin = certify.structure_certificate(1, 8, "spin factor")
-        with pytest.raises(CertificateError, match="exceeds the product's 4"):
-            certify.product_factor_combinator(product, spin)
-
-    @pytest.mark.parametrize(
-        "dimension",
-        [None, True, -1, "8", Fraction(8)],
-        ids=["missing", "bool", "negative", "string", "fraction"],
-    )
-    def test_inputs_without_a_dimension_are_refused(self, dimension):
-        a, b = (
-            with_parameter(certify.structure_certificate(3, 8, basis), "dimension", dimension)
-            for basis in ("x", "y")
-        )
-        for combine in (certify.connected_sum_combinator, certify.product_combinator):
-            with pytest.raises(CertificateError, match="records no dimension"):
-                combine(a, b)
-
-    @pytest.mark.parametrize("k", [True, 0, "3", None], ids=["bool", "zero", "string", "missing"])
-    def test_inputs_without_an_int_k_are_refused(self, k):
-        a = with_parameter(certify.structure_certificate(3, 8, "x"), "k", k)
-        with pytest.raises(CertificateError, match="does not establish a spin\\^k structure"):
-            certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
-
-    def test_an_input_with_a_failed_check_is_refused(self):
-        # a decisive certificate with a failed check cannot be built, so the check is
-        # failed past the freeze to reach the combinator's own refusal
-        a = certify.structure_certificate(3, 8, "x")
-        object.__setattr__(a.checks[0], "passed", False)
-        with pytest.raises(CertificateError, match="failed checks: \\['basis of the claim'\\]"):
-            certify.product_combinator(a, certify.structure_certificate(3, 8, "y"))
-
-
 class TestKleinObstruction:
     def test_from_dimension8_family(self):
         base = certify.nonspinh8_certificate(0)
@@ -519,14 +425,31 @@ class TestKleinObstruction:
         with pytest.raises(CertificateError):
             certify.klein_product_pin_obstruction(base)
 
+    def test_rejects_an_established_input(self):
+        base = genus.mayer_integrality_check(certify.RHCModel(1, 1, 1, 4, 7), 1)
+        assert base.verdict == "established"
+        with pytest.raises(CertificateError, match="does not carry the verdict 'excluded'"):
+            certify.klein_product_pin_obstruction(base)
+
     def test_rejects_an_exclusion_of_another_claim(self):
         # the parameters carry k = 3 (spin^h), but the claim excludes spin^c
         base = dataclasses.replace(certify.nonspinh8_certificate(0), claim="not-spin^c")
         with pytest.raises(CertificateError, match="does not exclude a spin\\^k structure"):
             certify.klein_product_pin_obstruction(base)
 
-    def test_an_exclusion_without_a_dimension_is_refused(self):
-        base = with_parameter(certify.nonspinh8_certificate(0), "dimension", None)
+    @pytest.mark.parametrize("k", [True, 0, "3", None], ids=["bool", "zero", "string", "missing"])
+    def test_an_exclusion_without_an_int_k_is_refused(self, k):
+        base = with_parameter(certify.nonspinh8_certificate(0), "k", k)
+        with pytest.raises(CertificateError, match="does not exclude a spin\\^k structure"):
+            certify.klein_product_pin_obstruction(base)
+
+    @pytest.mark.parametrize(
+        "dimension",
+        [None, True, -1, "8", Fraction(8)],
+        ids=["missing", "bool", "negative", "string", "fraction"],
+    )
+    def test_an_exclusion_without_a_dimension_is_refused(self, dimension):
+        base = with_parameter(certify.nonspinh8_certificate(0), "dimension", dimension)
         with pytest.raises(CertificateError, match="records no dimension"):
             certify.klein_product_pin_obstruction(base)
 
@@ -541,6 +464,27 @@ class TestKleinObstruction:
         object.__setattr__(base, "verdict", "excluded")
         with pytest.raises(CertificateError, match="failed checks"):
             certify.klein_product_pin_obstruction(base)
+
+
+class TestCallers:
+    # ROADMAP items 6 and 17 give the Klein combinator its caller
+    UNCALLED = {"klein_product_pin_obstruction"}
+
+    def test_every_public_certify_function_is_called_in_src(self):
+        source = "".join(p.read_text() for p in Path(spincert.__file__).parent.glob("*.py"))
+        public = [
+            name
+            for name, value in vars(certify).items()
+            if inspect.isfunction(value)
+            and value.__module__ == certify.__name__
+            and not name.startswith("_")
+        ]
+        uncalled = {
+            name
+            for name in public
+            if len(re.findall(rf"\b{name}\(", source)) <= source.count(f"def {name}(")
+        }
+        assert uncalled == self.UNCALLED
 
 
 class TestRHCModel:
@@ -648,24 +592,11 @@ class TestCertificateType:
             lambda: certify.realization_conditions(1, 4, 7),
             lambda: certify.signature_bound_verdict(4, 7, 1),
             lambda: certify.nonspinh8_certificate(0),
-            lambda: certify.structure_certificate(3, 8, "x"),
-            lambda: certify.product_combinator(
-                certify.structure_certificate(3, 5, "x"), certify.structure_certificate(2, 4, "y")
-            ),
-            lambda: certify.product_factor_combinator(
-                certify.structure_certificate(4, 12, "x"), certify.structure_certificate(1, 4, "y")
-            ),
-            lambda: certify.connected_sum_combinator(
-                certify.structure_certificate(3, 8, "x"), certify.structure_certificate(2, 8, "y")
-            ),
             lambda: genus.mayer_integrality_check(certify.RHCModel(2, 33, 33, 45, 1230), 3),
             lambda: mod2.w5_verdict(mod2.kunneth(mod2.wu_manifold(), mod2.wu_manifold())),
             lambda: certify.klein_product_pin_obstruction(certify.nonspinh8_certificate(0)),
         ],
-        ids=[
-            "realization", "bound", "non-spinh8", "structure", "product", "factor",
-            "connected-sum", "mayer", "w5", "klein",
-        ],
+        ids=["realization", "bound", "non-spinh8", "mayer", "w5", "klein"],
     )
     def test_nothing_mutable_inside_a_certificate(self, build):
         assert list(_mutable_paths(build(), "certificate")) == []

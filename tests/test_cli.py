@@ -649,8 +649,13 @@ class TestModelLoading:
             ({"m": 0}, "m must be >= 1"),
             ({"middle_betti": -1}, "middle Betti number must be >= 0"),
             ({"middle_betti": 0}, "|sigma| = 1 exceeds the middle Betti number 0"),
+            (
+                {"middle_betti": 2},
+                "sigma = 1 and the middle Betti number 2 differ in parity; "
+                "sigma = b+ - b- and b+ + b- agree mod 2",
+            ),
         ],
-        ids=["m-zero", "betti-negative", "sigma-above-betti"],
+        ids=["m-zero", "betti-negative", "sigma-above-betti", "betti-sigma-parity"],
     )
     def test_malformed_rhc_model_exit_two(self, tmp_path, fields, message):
         doc = {**json.loads(Path(RHC8).read_text()), **fields}
@@ -786,7 +791,7 @@ class TestMayerCheckFlags:
 
     def test_model_with_non_integer_signature(self, tmp_path):
         path = tmp_path / "rhc.json"
-        path.write_text(json.dumps({"m": 1, "middle_betti": 1, "sigma": 0, "P2": 1, "Q": 1}))
+        path.write_text(json.dumps({"m": 1, "middle_betti": 0, "sigma": 0, "P2": 1, "Q": 1}))
         code, document = run(["mayer-check", "--model", str(path), "--k", "1"])
         assert code == 2
         assert "non-integer signature 2/15" in document

@@ -751,7 +751,7 @@ class TestMayerIntegrality:
 
     def test_non_integer_signature_refused(self):
         with pytest.raises(ValueError, match="non-integer signature 2/15"):
-            genus.mayer_integrality_check(certify.RHCModel(1, 1, 0, 1, 1), 1)
+            genus.mayer_integrality_check(certify.RHCModel(1, 0, 0, 1, 1), 1)
 
 
 class TestLSignature:
