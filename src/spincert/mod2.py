@@ -399,12 +399,28 @@ def _product_basis(
     return names, degrees, f"{left.unit}⊗{right.unit}"
 
 
+def _kunneth_group(a: IntProfile, b: IntProfile, d: int) -> Tuple[int, List[int]]:
+    """H^d(M x N; Z) as (free rank, torsion orders), by the Kunneth formula (Hatcher, Thm 3B.6).
+
+    The sum over the degrees i of M's groups of H^i ⊗ H^(d-i) and of
+    Tor(H^i, H^(d+1-i)); Z/s ⊗ Z/t and Tor(Z/s, Z/t) are both Z/gcd(s, t).
+    """
+    free, torsion = 0, []
+    for i, (fa, ta) in a.groups.items():
+        fb, tb = b.free(d - i), b.torsion(d - i)
+        free += fa * fb
+        torsion += [*tb] * fa + [*ta] * fb
+        torsion += [gcd(s, t) for s in ta for t in (*tb, *b.torsion(d + 1 - i)) if gcd(s, t) > 1]
+    return free, torsion
+
+
 def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     """Product model: tensor algebra, product SW class, combined profile.
 
-    This builds the product's whole table; the CLI reads the W5 verdict of a
-    product from its factors (:func:`product_w5_verdict`), and this is the
-    reference that verdict is tested against.
+    This builds the product's whole table.  The CLI reads the W5 verdict of a
+    product from its factors (:func:`product_w5_verdict`) with this function's
+    own helpers; the independent oracle for both is
+    ``dense_kunneth_sw_and_profile`` in ``tests/test_mod2.py``.
     """
     left, right = a.algebra, b.algebra
     width = len(right.names)
@@ -417,17 +433,10 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     )
     algebra = F2Algebra(*_product_basis(left, right), mul)
 
-    # the Kunneth formula (Hatcher, Thm 3B.6) as sums over pairs of non-zero groups
-    free: Counter = Counter()
-    torsion: Dict[int, List[int]] = defaultdict(list)
-    for i, (fa, ta) in a.int_profile.groups.items():
-        for j, (fb, tb) in b.int_profile.groups.items():
-            tor = [gcd(s, t) for s in ta for t in tb if gcd(s, t) > 1]
-            free[i + j] += fa * fb
-            torsion[i + j] += [*tb] * fa + [*ta] * fb + tor
-            if i + j:
-                torsion[i + j - 1] += tor
-    profile = {d: (free[d], tors) for d, tors in torsion.items()}
+    # a group of the product sits in a degree i + j or i + j - 1 of two factor groups
+    pa, pb = a.int_profile, b.int_profile
+    reached = {i + j - shift for i in pa.groups for j in pb.groups for shift in (0, 1)}
+    profile = {d: _kunneth_group(pa, pb, d) for d in reached if d >= 0}
 
     return SpaceModel(
         name=f"{a.name} x {b.name}",
@@ -442,29 +451,11 @@ def kunneth(a: SpaceModel, b: SpaceModel) -> SpaceModel:
 # -- integral lifts and the degree-5 obstruction ----------------------------
 
 
-def w4_integral_lift_exists(model: SpaceModel) -> str:
-    """'yes', 'no' or 'unknown': does w4 admit an integral lift?
-
-    Sufficient criteria only: a zero class always lifts, and a non-zero
-    class cannot lift through a zero group.  Anything else is reported
-    as unknown, never guessed.
-    """
-    if model.w(4).is_zero():
-        return "yes"
-    if model.int_profile.is_trivial(4):
-        return "no"
-    return "unknown"
-
-
 def w5_verdict(model: SpaceModel) -> Certificate:
     """Primary spin^h obstruction: W5 = 0 exactly when w4 lifts integrally."""
+    algebra = model.algebra
     return _w5_certificate(
-        model.name,
-        model.dimension,
-        model.w(1).is_zero(),
-        str(model.w(4)),
-        model.int_profile.group_text(4),
-        w4_integral_lift_exists(model),
+        model.name, model.dimension, model.sw, algebra.names, algebra.degrees, model.int_profile
     )
 
 
@@ -472,56 +463,57 @@ def product_w5_verdict(a: SpaceModel, b: SpaceModel) -> Certificate:
     """``w5_verdict(kunneth(a, b))``, read from the factors without the product's table.
 
     The product's basis names are refused as ``kunneth`` refuses them, first
-    duplicate first.  By the Whitney product formula w4(a x b) is the sum of
-    w_i(a) ⊗ w_(4-i)(b); each i has its own bidegree, so no term cancels.  By
-    the Kunneth formula H^4(a x b; Z) is the sum of H^i ⊗ H^(4-i) and of
-    Tor(H^i, H^(5-i)).
+    duplicate first.  The total class is the tensor of the factors' (the
+    Whitney product formula), and H^4 is the one Kunneth group it needs.
     """
-    _basis_index(*_product_basis(a.algebra, b.algebra))
-    w4 = sorted(
-        f"{x}⊗{y}" for i in range(5) for x in a.w(i).support for y in b.w(4 - i).support
-    )
-    pb = b.int_profile
-    free, torsion = 0, []
-    for i, (fa, ta) in a.int_profile.groups.items():
-        fb, tb = pb.free(4 - i), pb.torsion(4 - i)
-        free += fa * fb
-        torsion += [*tb] * fa + [*ta] * fb
-        torsion += [gcd(s, t) for s in ta for t in (*tb, *pb.torsion(5 - i)) if gcd(s, t) > 1]
-    h4 = IntProfile.from_mapping({4: (free, torsion)})
-    lift = "yes" if not w4 else "no" if h4.is_trivial(4) else "unknown"
+    names, degrees, unit = _product_basis(a.algebra, b.algebra)
+    _basis_index(names, degrees, unit)
     return _w5_certificate(
         f"{a.name} x {b.name}",
         a.dimension + b.dimension,
-        a.w(1).is_zero() and b.w(1).is_zero(),
-        " + ".join(w4) or "0",
-        h4.group_text(4),
-        lift,
+        _tensor(a.sw, b.sw, len(b.algebra.names)),
+        names,
+        degrees,
+        IntProfile.from_mapping({4: _kunneth_group(a.int_profile, b.int_profile, 4)}),
     )
 
 
 def _w5_certificate(
-    name: str, dimension: int, orientable: bool, w4: str, h4: str, lift: str
+    name: str,
+    dimension: int,
+    sw: int,
+    names: Sequence[str],
+    degrees: Sequence[int],
+    h4: IntProfile,
 ) -> Certificate:
-    """The W5 certificate from w4 and H^4(Z) as text and the lift answer."""
+    """The W5 certificate of a total SW class ``sw`` over a basis, and H^4(Z) from ``h4``.
+
+    Orientability is w1 = 0.  The lift rule uses sufficient criteria only: a
+    zero w4 always lifts, and a non-zero w4 cannot lift through a zero
+    H^4(Z).  Anything else is reported as unknown, never guessed.
+    """
+    support = list(_bits(sw))
+    w4 = sorted(names[i] for i in support if degrees[i] == 4)
+    lift = "yes" if not w4 else "no" if h4.is_trivial(4) else "unknown"
+    w4_text, h4_text = " + ".join(w4) or "0", h4.group_text(4)
     claim, verdict = {
         "yes": ("w5-obstruction-vanishes", ESTABLISHED),
         "no": ("not-spin^h", EXCLUDED),
         "unknown": ("w5-obstruction-undetermined", INCONCLUSIVE),
     }[lift]
-    checks = [Check("w4 component", w4, "0", "=" if lift == "yes" else "!=", True)]
+    checks = [Check("w4 component", w4_text, "0", "=" if lift == "yes" else "!=", True)]
     if lift != "yes":
         relation = "=" if lift == "no" else "!="
-        checks.append(Check("degree-4 integral cohomology", h4, "0", relation, True))
+        checks.append(Check("degree-4 integral cohomology", h4_text, "0", relation, True))
     return Certificate(
         claim=claim,
         parameters={
             "model": name,
             "dimension": dimension,
             "k": 3,
-            "orientable": orientable,
-            "w4": w4,
-            "H4_integral": h4,
+            "orientable": all(degrees[i] != 1 for i in support),
+            "w4": w4_text,
+            "H4_integral": h4_text,
         },
         checks=checks,
         verdict=verdict,

@@ -18,11 +18,12 @@ def space_model_to_dict(model: SpaceModel) -> dict:
         for j in non_unit[k:]:
             result = sorted(names[b] for b in _bits(algebra.mul[i][j]))
             products.append([names[i], names[j], result])
-    sw = {}
-    for d in range(1, model.dimension + 1):
-        component = model.w(d)
-        if not component.is_zero():
-            sw[str(d)] = sorted(component.support)
+    # only the degrees that hold bits of the total class, not every degree up to the dimension
+    sw_by_degree = {}
+    for i in _bits(model.sw):
+        if algebra.degrees[i]:
+            sw_by_degree.setdefault(algebra.degrees[i], []).append(names[i])
+    sw = {str(d): sorted(sw_by_degree[d]) for d in sorted(sw_by_degree)}
     profile = {
         str(d): {"free": free, "torsion": list(tors)}
         for d, (free, tors) in model.int_profile.groups.items()

@@ -466,25 +466,35 @@ class TestKleinObstruction:
             certify.klein_product_pin_obstruction(base)
 
 
+def _uncalled_public_functions(module, source):
+    """Public functions of ``module`` that ``source`` defines but never calls."""
+    public = [
+        name
+        for name, value in vars(module).items()
+        if inspect.isfunction(value)
+        and value.__module__ == module.__name__
+        and not name.startswith("_")
+    ]
+    return {
+        name
+        for name in public
+        if len(re.findall(rf"\b{name}\(", source)) <= source.count(f"def {name}(")
+    }
+
+
 class TestCallers:
     # ROADMAP items 6 and 17 give the Klein combinator its caller
     UNCALLED = {"klein_product_pin_obstruction"}
+    SOURCE = "".join(p.read_text() for p in Path(spincert.__file__).parent.glob("*.py"))
 
     def test_every_public_certify_function_is_called_in_src(self):
-        source = "".join(p.read_text() for p in Path(spincert.__file__).parent.glob("*.py"))
-        public = [
-            name
-            for name, value in vars(certify).items()
-            if inspect.isfunction(value)
-            and value.__module__ == certify.__name__
-            and not name.startswith("_")
-        ]
-        uncalled = {
-            name
-            for name in public
-            if len(re.findall(rf"\b{name}\(", source)) <= source.count(f"def {name}(")
-        }
-        assert uncalled == self.UNCALLED
+        assert _uncalled_public_functions(certify, self.SOURCE) == self.UNCALLED
+
+    @pytest.mark.parametrize("module", [mod2, genus], ids=["mod2", "genus"])
+    def test_every_public_function_is_called_in_src_or_the_acceptance_suite(self, module):
+        # the acceptance suite is the fixed behaviour, so a call there counts
+        acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+        assert _uncalled_public_functions(module, self.SOURCE + acceptance) == set()
 
 
 class TestRHCModel:

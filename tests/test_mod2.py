@@ -24,7 +24,6 @@ from spincert.mod2 import (
     sw_ring,
     tensor_with_det,
     twist_then_sum,
-    w4_integral_lift_exists,
     w5_verdict,
     wu_manifold,
 )
@@ -96,14 +95,19 @@ def dense_kunneth_sw_and_profile(a, b):
     """Slow oracle: the product SW class and profile summed over every degree pair.
 
     The class is summed degree by degree, w_d = sum over i of w_i ⊗ w_(d - i),
-    and returned as the total over d = 0..dimension.
+    one basis pair (p, q) at a time at bit p * width + q, and returned as the
+    total over d = 0..dimension.
     """
     width = len(b.algebra.names)
     dimension = a.dimension + b.dimension
     sw = 0
     for degree in range(dimension + 1):
         for i in range(degree + 1):
-            sw ^= mod2._tensor(a.w(i).mask, b.w(degree - i).mask, width)
+            left, right = a.w(i).mask, b.w(degree - i).mask
+            for p in range(left.bit_length()):
+                for q in range(right.bit_length()):
+                    if left >> p & 1 and right >> q & 1:
+                        sw ^= 1 << (p * width + q)
 
     profile = {}
     for degree in range(dimension + 1):
@@ -180,6 +184,44 @@ def product_verdicts(a, b):
         except AlgebraError as err:
             out.append(f"refused: {err}")
     return out
+
+
+def dense_w5(a, b):
+    """Slow oracle: claim, verdict and parameters of the W5 certificate of a x b.
+
+    w4, w1 and H^4(Z) come from dense_kunneth_sw_and_profile, with the product
+    basis written out by name.  The lift rule: a zero w4 lifts, a non-zero w4
+    does not lift through a zero H^4(Z), and anything else is undetermined.
+    """
+    width = len(b.algebra.names)
+    sw, profile = dense_kunneth_sw_and_profile(a, b)
+    w1, w4 = [], []
+    for k in range(sw.bit_length()):
+        if sw >> k & 1:
+            p, q = divmod(k, width)
+            degree = a.algebra.degrees[p] + b.algebra.degrees[q]
+            name = f"{a.algebra.names[p]}⊗{b.algebra.names[q]}"
+            if degree == 1:
+                w1.append(name)
+            elif degree == 4:
+                w4.append(name)
+    free, torsion = profile.groups.get(4, (0, ()))
+    h4 = ["Z" if free == 1 else f"Z^{free}"] * (free > 0) + [f"Z/{t}" for t in torsion]
+    if not w4:
+        claim, verdict = "w5-obstruction-vanishes", "established"
+    elif not h4:
+        claim, verdict = "not-spin^h", "excluded"
+    else:
+        claim, verdict = "w5-obstruction-undetermined", "inconclusive"
+    parameters = {
+        "model": f"{a.name} x {b.name}",
+        "dimension": a.dimension + b.dimension,
+        "k": 3,
+        "orientable": not w1,
+        "w4": " + ".join(sorted(w4)) or "0",
+        "H4_integral": " + ".join(h4) or "0",
+    }
+    return claim, verdict, parameters
 
 
 class TestBuildAlgebra:
@@ -456,12 +498,16 @@ class TestKunneth:
 
 
 class TestW4Lift:
+    """The lift rule, read from w5_verdict's claim and verdict."""
+
     def test_wu_square_has_no_lift(self):
-        assert w4_integral_lift_exists(kunneth(wu_manifold(), wu_manifold())) == "no"
+        cert = w5_verdict(kunneth(wu_manifold(), wu_manifold()))
+        assert (cert.claim, cert.verdict) == ("not-spin^h", "excluded")
 
     def test_zero_class_lifts(self):
-        assert w4_integral_lift_exists(wu_manifold()) == "yes"
-        assert w4_integral_lift_exists(sphere_model(5)) == "yes"
+        for model in (wu_manifold(), sphere_model(5)):
+            cert = w5_verdict(model)
+            assert (cert.claim, cert.verdict) == ("w5-obstruction-vanishes", "established")
 
     def test_unknown_when_criteria_silent(self):
         # synthetic 8-model with free H^4 and non-zero w4
@@ -475,8 +521,20 @@ class TestW4Lift:
             IntProfile.from_mapping({0: (1, ()), 4: (1, ()), 8: (1, ())}),
             8,
         )
-        assert w4_integral_lift_exists(model) == "unknown"
-        assert w5_verdict(model).verdict == "inconclusive"
+        cert = w5_verdict(model)
+        assert (cert.claim, cert.verdict) == ("w5-obstruction-undetermined", "inconclusive")
+
+    def test_a_w4_named_0_is_not_zero(self):
+        # the rule reads w4 from the mask, not from its text, which reads "0" here
+        algebra = build_algebra(
+            [("1", 0), ("0", 4), ("x8", 8)], {("0", "0"): ["x8"], ("0", "x8"): [], ("x8", "x8"): []}
+        )
+        profile = IntProfile.from_mapping({0: (1, ()), 4: (1, ()), 8: (1, ())})
+        model = mod2.SpaceModel("named-0", algebra, algebra.mask(["1", "0"]), profile, 8)
+        cert = w5_verdict(model)
+        assert (cert.claim, cert.verdict, cert.parameters["w4"]) == (
+            "w5-obstruction-undetermined", "inconclusive", "0"
+        )
 
 
 class TestW5Verdict:
@@ -530,7 +588,33 @@ class TestW5Verdict:
 
 
 class TestProductW5Verdict:
-    """product_w5_verdict against w5_verdict of kunneth's product, the slow oracle."""
+    """product_w5_verdict against the dense oracle, and against w5_verdict of kunneth's product.
+
+    The dense oracle shares no code with product_w5_verdict.  kunneth's product
+    reads the same Whitney, Künneth and W5 helpers, so comparing with it guards
+    only the wiring around them.
+    """
+
+    def test_matches_the_dense_oracle(self):
+        rng = random.Random(25)
+        models = [random_model(rng, f"m{k}") for k in range(200)]
+        pairs = [*zip(models, models[1:]), *zip(models, models)]
+        squares = [projective_space(n, g) for g in (1, 2) for n in range(1, 32)]
+        pairs += [(model, model) for model in (*squares, wu_manifold())]
+        seen = set()
+        for a, b in pairs:
+            cert = mod2.product_w5_verdict(a, b)
+            claim, verdict, parameters = dense_w5(a, b)
+            assert (cert.claim, cert.verdict, dict(cert.parameters)) == (claim, verdict, parameters)
+            seen.add(verdict)
+            if a.w(1).is_zero() != b.w(1).is_zero():
+                seen.add("one-factor-orientable")
+            for i, (_, ta) in a.int_profile.groups.items():
+                if any(gcd(s, t) > 1 for s in ta for t in b.int_profile.torsion(5 - i)):
+                    seen.add("tor-into-degree-4")
+        assert seen == {
+            "established", "excluded", "inconclusive", "one-factor-orientable", "tor-into-degree-4"
+        }
 
     def test_random_pairs_match_the_product(self):
         rng = random.Random(25)
