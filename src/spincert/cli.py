@@ -114,8 +114,9 @@ def render_text(doc: Dict) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
-# degree 24 takes 0.21-0.32 s for the whole process, and the engine's time about
-# doubles every two degrees
+# degree 24 takes 0.31-0.37 s for the whole process (Python 3.11, shared 2-vCPU
+# host), 0.19-0.22 s of it in genus_polynomials and str; the engine's time
+# about doubles every two degrees
 GENUS_MAX_DEGREE = 24
 # s-coeffs --m 64 takes 0.12-0.16 s and mayer-check 0.16-0.23 s for the whole
 # process; the series of 2m + 1 terms and its log-derivative cost four to nine
@@ -137,11 +138,11 @@ def _cmd_genus(args) -> Dict:
     if args.degree > GENUS_MAX_DEGREE:
         raise UsageError(f"genus: --degree must be <= {GENUS_MAX_DEGREE}")
     series = _SERIES[args.series](args.degree)
-    texts = genus.genus_texts(series, args.degree)
+    polys = genus.genus_polynomials(series, args.degree)
     return {
         "series": args.series,
         "degree": args.degree,
-        "polynomials": {f"K{j + 1}": text for j, text in enumerate(texts)},
+        "polynomials": {f"K{j}": str(p) for j, p in enumerate(polys, 1)},
     }
 
 

@@ -16,6 +16,11 @@ series k q_k by Q, and the total class exp(g) follows from the recurrence
 j K_j = sum_k d_k ps_k K_(j-k).  The naive many-root expansion is kept
 out of the library on purpose: it serves as the independent test oracle.
 
+Each K_j comes out as a :class:`PontryaginPolynomial` that holds what the
+engine computed, integer numerators by named monomial over one denominator.
+Its ``str`` is the only printer of K_j, and ``terms`` builds ``Fraction``
+coefficients only when it is read.
+
 Built-in series:
 
 * signature sequence: sqrt(z)/tanh(sqrt(z)), the series whose genus is
@@ -33,7 +38,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
 from .exact import bernoulli
@@ -41,80 +46,75 @@ from .exact import bernoulli
 Monomial = Tuple[Tuple[str, int], ...]
 
 
-def _mono_weight(mono: Monomial) -> int:
-    # a quarter of the degree: p_i has weight i
-    return sum(int(name[1:]) * exp for name, exp in mono)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PontryaginPolynomial:
     """Polynomial in Pontryagin classes with exact rational coefficients.
 
-    The read-only result type of the genus engine: ``terms`` is a read-only
-    mapping, zero coefficients are never stored, and there is no arithmetic.
+    The read-only result type of the genus engine, held as the engine makes
+    it: integer ``numerators`` by named monomial over one positive
+    ``denominator``, in lowest terms.  Zero numerators are never stored and a
+    common factor is divided out, so equal polynomials compare equal.  There
+    is no arithmetic.
     """
 
-    terms: Mapping[Monomial, Fraction] | None = None
+    numerators: Mapping[Monomial, int]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        clean: Dict[Monomial, Fraction] = {}
-        if self.terms:
-            for mono, coeff in self.terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        if self.denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.denominator!r}")
+        g = gcd(self.denominator, *self.numerators.values())
+        nums = {mono: c // g for mono, c in self.numerators.items() if c}
+        object.__setattr__(self, "numerators", MappingProxyType(nums))
+        object.__setattr__(self, "denominator", self.denominator // g)
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        """Each monomial's coefficient as a ``Fraction``, built on every read."""
+        d = self.denominator
+        return MappingProxyType({mono: Fraction(c, d) for mono, c in self.numerators.items()})
+
     def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            prod = coeff
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"value {value!r} of {name!r} is not an int or a Fraction")
+        total = 0
+        for mono, c in self.numerators.items():
             for name, exp in mono:
                 if name not in values:
                     raise ValueError(f"no value supplied for generator {name!r}")
-                prod *= Fraction(values[name]) ** exp
-            total += prod
-        return total
+                c *= values[name] ** exp
+            total += c
+        return Fraction(total, self.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PontryaginPolynomial) and self.terms == other.terms
+        return not self.numerators
 
     def __repr__(self) -> str:
         return f"PontryaginPolynomial({self})"
 
     def __str__(self) -> str:
-        return _text(
-            (mono, coeff.numerator, coeff.denominator)
-            for mono, coeff in sorted(
-                self.terms.items(), key=lambda item: (_mono_weight(item[0]), item[0])
-            )
-        )
-
-
-def _text(items: Iterable[Tuple[Monomial, int, int]]) -> str:
-    # terms (monomial, numerator, denominator) in print order, each in lowest
-    # terms with a positive denominator, as "-1/45*p1^2 + 7/45*p2"
-    parts: List[str] = []
-    for mono, num, den in items:
-        body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
-        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
-        if not body:
-            piece = mag
-        elif mag == "1":
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if num > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if num > 0 else f"- {piece}")
-    return " ".join(parts) or "0"
+        # terms sorted by named monomial, each reduced by one gcd, as
+        # "-1/45*p1^2 + 7/45*p2"
+        d, parts = self.denominator, []
+        for mono, c in sorted(self.numerators.items()):
+            g = gcd(c, d)
+            num, den = c // g, d // g
+            body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
+            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
+            if not body:
+                piece = mag
+            elif mag == "1":
+                piece = body
+            else:
+                piece = f"{mag}*{body}"
+            if not parts:
+                parts.append(piece if num > 0 else f"-{piece}")
+            else:
+                parts.append(f"+ {piece}" if num > 0 else f"- {piece}")
+        return " ".join(parts) or "0"
 
 
 # -- characteristic power series ---------------------------------------
@@ -282,24 +282,9 @@ def genus_polynomials(
     nums, dens = _genus_buckets(series, n)
     names = [f"p{i}" for i in range(1, n + 1)]
     return [
-        PontryaginPolynomial({_named(m, names): Fraction(c, d) for m, c in bucket.items()})
+        PontryaginPolynomial({_named(m, names): c for m, c in bucket.items()}, d)
         for bucket, d in zip(nums, dens)
     ]
-
-
-def genus_texts(series: CharacteristicSeries, n: int) -> List[str]:
-    """``str`` of K_1..K_n, printed straight from the integer buckets."""
-    nums, dens = _genus_buckets(series, n)
-    names = [f"p{i}" for i in range(1, n + 1)]
-    texts = []
-    for bucket, den in zip(nums, dens):
-        items = []
-        for m, c in bucket.items():
-            g = gcd(c, den)
-            items.append((_named(m, names), c // g, den // g))
-        # K_j is homogeneous, so the named monomial alone gives __str__'s order
-        texts.append(_text(sorted(items)))
-    return texts
 
 
 # -- signature-sequence coefficients -----------------------------------

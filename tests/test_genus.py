@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -88,6 +89,35 @@ def _engine_to_partitions(poly):
         key = tuple(sorted((int(name[1:]), exp) for name, exp in mono))
         out[key] = coeff
     return out
+
+
+def _parse_printed(text):
+    """The exact terms of a printed K_j such as "-1/45*p1^2 + 7/45*p2".
+
+    Keys are partitions ((i, mult), ...) as in the oracle above.  Each
+    coefficient must be printed in lowest terms, with no unit magnitude
+    in front of a monomial and no monomial printed twice.
+    """
+    if text == "0":
+        return {}
+    tokens = text.split(" ")
+    signs = [-1 if tokens[0].startswith("-") else 1]
+    signs += [{"+": 1, "-": -1}[op] for op in tokens[1::2]]
+    terms = {}
+    for sign, body in zip(signs, [tokens[0].lstrip("-"), *tokens[2::2]]):
+        coeff, mults = Fraction(sign), {}
+        for factor in body.split("*"):
+            if factor.startswith("p"):
+                name, _, exp = factor.partition("^")
+                assert int(name[1:]) not in mults, text
+                mults[int(name[1:])] = int(exp or 1)
+            else:
+                assert str(Fraction(factor)) == factor and factor != "1", text
+                coeff *= Fraction(factor)
+        key = tuple(sorted(mults.items()))
+        assert coeff and key not in terms, text
+        terms[key] = coeff
+    return terms
 
 
 def _oracle_genus(series, n, n_roots):
@@ -242,12 +272,12 @@ def twist_class_e1(max_degree):
         raise ValueError("max_degree must be >= 0")
     n = max_degree // 4
     names = [f"p{i}" for i in range(1, n + 1)]
-    terms = {}
+    # every term over the common denominator (2n)!
+    numerators = {}
     for r, ps in enumerate(genus._power_sums(n), 1):
-        terms.update(
-            (genus._named(m, names), Fraction(2 * c, factorial(2 * r))) for m, c in ps.items()
-        )
-    return PP(terms)
+        scale = 2 * (factorial(2 * n) // factorial(2 * r))
+        numerators.update((genus._named(m, names), scale * c) for m, c in ps.items())
+    return PP(numerators, factorial(2 * n))
 
 
 # -- slow oracles for the closed-form coefficients -------------------------
@@ -371,10 +401,10 @@ def _twisted_integrand_top(arg, top):
 # -- frozen golden polynomials (confirmed by the oracle below) --------------
 
 P1, P1_2, P2 = (("p1", 1),), (("p1", 2),), (("p2", 1),)
-L1 = PP({P1: Fraction(1, 3)})
-L2 = PP({P2: Fraction(7, 45), P1_2: Fraction(-1, 45)})
-A1 = PP({P1: Fraction(-1, 24)})
-A2 = PP({P1_2: Fraction(7, 5760), P2: Fraction(-1, 1440)})
+L1 = PP({P1: 1}, 3)
+L2 = PP({P2: 7, P1_2: -1}, 45)
+A1 = PP({P1: -1}, 24)
+A2 = PP({P1_2: 7, P2: -4}, 5760)
 
 
 class TestSeries:
@@ -433,7 +463,7 @@ class TestSeries:
         fractions = genus.CharacteristicSeries(tuple(map(Fraction, (1, 0, 2, -3))))
         assert genus.genus_polynomials(ints, 3) == genus.genus_polynomials(fractions, 3)
         mixed = genus.CharacteristicSeries((Fraction(1), 2))
-        assert genus.genus_polynomials(mixed, 1) == [PP({P1: Fraction(2)})]
+        assert genus.genus_polynomials(mixed, 1) == [PP({P1: 2})]
 
     @pytest.mark.parametrize(
         "coefficients",
@@ -458,20 +488,21 @@ class TestGenusPolynomials:
 
     def test_trivial_series(self):
         series = genus.CharacteristicSeries((Fraction(1),) + (Fraction(0),) * 3)
-        assert all(p.is_zero() for p in genus.genus_polynomials(series, 3))
-        assert genus.genus_texts(series, 3) == ["0"] * 3
+        polys = genus.genus_polynomials(series, 3)
+        assert all(p.is_zero() for p in polys)
+        assert [str(p) for p in polys] == ["0"] * 3
 
     def test_results_are_not_shared(self):
         series = genus.signature_series(2)
         with pytest.raises(TypeError):
             genus.genus_polynomials(series, 2)[0].terms[P1] = Fraction(0)
+        with pytest.raises(TypeError):
+            genus.genus_polynomials(series, 2)[0].numerators[P1] = 0
         assert genus.genus_polynomials(series, 2) == [L1, L2]
 
     def test_insufficient_degree(self):
-        with pytest.raises(ValueError):
-            genus.genus_polynomials(genus.signature_series(2), 3)
         with pytest.raises(ValueError, match="need 3"):
-            genus.genus_texts(genus.signature_series(2), 3)
+            genus.genus_polynomials(genus.signature_series(2), 3)
 
     @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
     def test_against_root_expansion_oracle(self, maker):
@@ -541,24 +572,41 @@ class TestGenusPolynomials:
 
 
 class TestGenusTexts:
+    # the printed K_j, read back by _parse_printed, against oracles that
+    # share no code with the printer
+
     @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
     def test_texts_are_the_printed_polynomials(self, maker):
-        for n in range(1, 25):
-            series = maker(n)
-            texts = genus.genus_texts(series, n)
-            assert texts == [str(p) for p in genus.genus_polynomials(series, n)], n
+        n = 6
+        name = {make: key for key, make in cli._SERIES.items()}[maker]
+        code, document = cli.run(["genus", "--series", name, "--degree", str(n), "--json"])
+        assert code == 0
+        printed = json.loads(document)["polynomials"]
+        oracle = _oracle_genus(maker(n), n, n_roots=n)
+        assert [_parse_printed(printed[f"K{j}"]) for j in range(1, n + 1)] == oracle[1:]
 
     @settings(max_examples=100, deadline=None)
     @given(_random_series())
     def test_texts_of_random_series(self, drawn):
+        # the root expansion takes seconds at n = 8, so the tuple oracle reads
+        # every draw and the root expansion the draws with n <= 5
         series, n = drawn
-        assert genus.genus_texts(series, n) == [str(p) for p in genus.genus_polynomials(series, n)]
+        printed = [_parse_printed(str(p)) for p in genus.genus_polynomials(series, n)]
+        tuples = [
+            {tuple(sorted((int(g[1:]), e) for g, e in mono)): c for mono, c in terms.items()}
+            for terms in _tuple_genus_terms(series, n)
+        ]
+        assert printed == tuples
+        if n <= 5:
+            assert printed == _oracle_genus(series, n, n_roots=n)[1:]
 
     def test_one_plus_z_gives_the_pontryagin_classes(self):
         # Q = 1 + z multiplies out to the total class 1 + p1 + p2 + ...; the
         # recurrence reaches each K_j = p_j through terms that cancel to zero
         series = genus.CharacteristicSeries((1, 1) + (0,) * 11)
-        assert genus.genus_texts(series, 12) == [f"p{j}" for j in range(1, 13)]
+        polys = genus.genus_polynomials(series, 12)
+        assert [str(p) for p in polys] == [f"p{j}" for j in range(1, 13)]
+        assert [_parse_printed(str(p)) for p in polys] == [{((j, 1),): 1} for j in range(1, 13)]
 
 
 class TestSCoefficients:
@@ -693,16 +741,12 @@ class TestRHCIntegrals:
 class TestTwistClass:
     def test_degree_parts(self):
         # no constant term, p1 in degree 4, p1^2/12 - p2/6 in degree 8
-        assert twist_class_e1(8) == PP(
-            {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
-        )
+        assert twist_class_e1(8) == PP({P1: 12, P1_2: 1, P2: -2}, 12)
 
     def test_results_are_not_shared(self):
         with pytest.raises(TypeError):
             twist_class_e1(8).terms[P1] = Fraction(0)
-        assert twist_class_e1(8) == PP(
-            {P1: 1, P1_2: Fraction(1, 12), P2: Fraction(-1, 6)}
-        )
+        assert twist_class_e1(8) == PP({P1: 12, P1_2: 1, P2: -2}, 12)
 
     def test_against_cosh_root_expansion(self):
         # sum_j (e^{y_j} + e^{-y_j} - 2) = 2 sum_{r>=1} z_j^r/(2r)! with z = y^2
@@ -832,43 +876,64 @@ class TestMayerIndicator:
 
 class TestPontryaginPolynomial:
     def test_no_zero_terms_stored(self):
-        poly = PP({P1: Fraction(0), P2: 0})
-        assert poly.terms == {}
+        poly = PP({P1: 0, P2: 0}, 7)
+        assert poly.numerators == {} and poly.terms == {}
         assert poly.is_zero()
+        assert poly == PP({})
+
+    def test_lowest_terms_compare_equal(self):
+        poly = PP({P2: 14, P1_2: -2, P1: 0}, 90)
+        assert (dict(poly.numerators), poly.denominator) == ({P2: 7, P1_2: -1}, 45)
+        assert poly == L2
+        assert poly.terms == {P2: Fraction(7, 45), P1_2: Fraction(-1, 45)}
+        assert poly != PP({P2: 7, P1_2: -1}, 15)
+
+    @pytest.mark.parametrize("denominator", [0, -45])
+    def test_non_positive_denominator_refused(self, denominator):
+        with pytest.raises(ValueError, match="denominator must be >= 1"):
+            PP({P2: 7}, denominator)
 
     def test_evaluate_requires_all_generators(self):
-        poly = PP({(("p1", 1), ("p2", 1)): Fraction(1)})
+        poly = PP({(("p1", 1), ("p2", 1)): 1})
         with pytest.raises(ValueError):
             poly.evaluate({"p1": 1})
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"p1": 0.1, "p2": 1}, {"p1": 1, "p2": True}, {"p1": 1, "p2": 2.0}, {"p1": 1, "p2": "1"}],
+        ids=["float", "bool", "float-integral", "str"],
+    )
+    def test_evaluate_refuses_inexact_values(self, values):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            L2.evaluate(values)
+
     def test_str_deterministic(self):
-        poly = PP({P2: Fraction(7, 45), P1_2: Fraction(-1, 45)})
+        poly = PP({P2: 7, P1_2: -1}, 45)
         assert str(poly) == "-1/45*p1^2 + 7/45*p2"
 
     @pytest.mark.parametrize(
-        "terms, text",
+        "numerators, denominator, text",
         [
-            ({(): Fraction(3, 2)}, "3/2"),
-            ({(): -2}, "-2"),
-            ({P1_2: -1}, "-p1^2"),
-            ({(): 1, P1: -1, P2: 1}, "1 - p1 + p2"),
+            ({(): 3}, 2, "3/2"),
+            ({(): -2}, 1, "-2"),
+            ({P1_2: -1}, 1, "-p1^2"),
+            ({(): 1, P1: -1, P2: 1}, 1, "1 - p1 + p2"),
         ],
         ids=["constant", "negative-constant", "minus-one", "unit-coefficients"],
     )
-    def test_str_of_constants_and_unit_coefficients(self, terms, text):
-        assert str(PP(terms)) == text
+    def test_str_of_constants_and_unit_coefficients(self, numerators, denominator, text):
+        assert str(PP(numerators, denominator)) == text
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: genus.genus_polynomials(genus.signature_series(2), 0), "n must be >= 1"),
-        (lambda: genus.genus_texts(genus.signature_series(2), 0), "n must be >= 1"),
         (lambda: twist_class_e1(-1), "max_degree must be >= 0"),
         (lambda: genus.rhc_ahat_twist_coeffs(0), "m must be >= 1"),
         (lambda: genus.s2m_bernoulli(0), "m must be >= 1"),
     ],
-    ids=["genus-polynomials", "genus-texts", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],
+    ids=["genus-polynomials", "twist-class", "rhc-twist-coeffs", "s2m-bernoulli"],
 )
 def test_out_of_range_arguments_refused(call, message):
     with pytest.raises(ValueError, match=message):
