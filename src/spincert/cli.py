@@ -122,6 +122,10 @@ GENUS_MAX_DEGREE = 24
 # process; the series of 2m + 1 terms and its log-derivative cost four to nine
 # times more per doubling of m
 M_MAX = 64
+# realize --m 8 without --p2/--q takes 0.9-1.2 s in-process, nearly all of it in
+# exact.four_squares on a 29-digit P2 (about 6.6M inner steps); the steps grow
+# like P2^(1/4), so m = 16's 74-digit P2 would take about 10^11 times longer
+SEARCH_M_MAX = 8
 # pin-table builds one row per dimension: 100000 rows take about 0.7 s and 5 MB
 PIN_TABLE_MAX_DIM = 100000
 
@@ -176,6 +180,8 @@ def _cmd_realize(args) -> Union[Certificate, Dict]:
     if args.p2 is not None:
         _refuse_mixed(args, "--p2 and --q", "sigma_min")
         return certify.realization_conditions(args.m, args.p2, args.q)
+    if args.m > SEARCH_M_MAX:
+        raise UsageError(f"realize: --m must be <= {SEARCH_M_MAX} without --p2 and --q")
     witness = certify.realization_search(args.m, 1 if args.sigma_min is None else args.sigma_min)
     cert = certify.realization_conditions(args.m, witness.P2, witness.Q)
     return {"witness": exact_to_json(witness.to_dict()), "certificate": cert.to_dict()}

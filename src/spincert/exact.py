@@ -87,6 +87,12 @@ def quadratic_residues(modulus: int) -> Set[int]:
     return {c * c % modulus for c in range(modulus)}
 
 
+def _least_root(n: int, k: int) -> int:
+    """Least r >= 0 with k * r^2 >= n, for n >= 0 and k >= 1: ceil(sqrt(n / k))."""
+    r = isqrt(n // k)
+    return r if k * r * r >= n else r + 1
+
+
 def four_squares(x: int) -> Tuple[int, int, int, int]:
     """A deterministic quadruple a >= b >= c >= d >= 0 with a^2+b^2+c^2+d^2 = x.
 
@@ -94,6 +100,11 @@ def four_squares(x: int) -> Tuple[int, int, int, int]:
     lexicographically smallest valid tail.  E.g. 45 -> (6, 2, 2, 1).
     Existence for every x >= 0 is Lagrange's theorem, so the search
     always terminates.
+
+    b starts at ceil(sqrt(rest_a / 3)) and c at ceil(sqrt(rest_b / 2)),
+    where rest_a = x - a^2 and rest_b = rest_a - b^2: b >= c >= d forces
+    3 b^2 >= rest_a and 2 c^2 >= rest_b, so the skipped values hold no
+    valid tail, and the first tail found is still the smallest.
     """
     if x < 0:
         raise ValueError(f"four_squares needs a non-negative integer, got {x}")
@@ -101,9 +112,9 @@ def four_squares(x: int) -> Tuple[int, int, int, int]:
         rest_a = x - a * a
         if rest_a > 3 * a * a:
             break  # a too small to dominate the remaining three squares
-        for b in range(0, min(a, isqrt(rest_a)) + 1):
+        for b in range(_least_root(rest_a, 3), min(a, isqrt(rest_a)) + 1):
             rest_b = rest_a - b * b
-            for c in range(0, min(b, isqrt(rest_b)) + 1):
+            for c in range(_least_root(rest_b, 2), min(b, isqrt(rest_b)) + 1):
                 rest_c = rest_b - c * c
                 d = isqrt(rest_c)
                 if d * d == rest_c and d <= c:

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import functools
 import importlib
 import inspect
 import itertools
@@ -141,12 +140,6 @@ def _walk_witness(m, sigma_min):
 
 
 class TestClosedFormMultiplier:
-    @pytest.fixture(autouse=True)
-    def _cached_four_squares(self, monkeypatch):
-        # P2 = x does not depend on sigma_min, so one decomposition per m serves
-        # the sweep; at m = 4 each uncached call takes about 5 ms
-        monkeypatch.setattr(certify, "four_squares", functools.lru_cache(certify.four_squares))
-
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_matches_the_walk(self, m):
         for sigma_min in range(-3, 2001):

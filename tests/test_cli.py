@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -60,6 +60,7 @@ GOLDEN_RUNS = [
     ("genus-mayer-12.txt", ["genus", "--series", "mayer", "--degree", "12"], 0),
     ("mayer-check-rhc8-a0.json", ["mayer-check", "--model", RHC8, "--k", "1", "--json"], 1),
     ("mayer-check-m2-k3.txt", ["mayer-check", "--m", "2", "--k", "3", "--p2", "45", "--q", "1230"], 1),
+    ("realize-m8.txt", ["realize", "--m", "8"], 0),
 ]
 
 
@@ -102,6 +103,17 @@ class TestGoldenFiles:
         code, document = run(["genus", "--series", "L", "--degree", "12"])
         assert code == 0
         assert (document + "\n").encode() == (GOLDEN / "genus-L-12.txt").read_bytes()
+
+    def test_realize_m8_witness_reads_back(self):
+        # the printed witness, read back without the library: four squares in
+        # descending order summing to P2, the largest a first, and re-validated
+        lines = (GOLDEN / "realize-m8.txt").read_text().splitlines()
+        P2 = int(re.search(r"P2 = (\d+),", lines[0]).group(1))
+        squares = json.loads(lines[1].removeprefix("four-square decomposition of P2: "))
+        assert sum(s * s for s in squares) == P2
+        assert squares == sorted(squares, reverse=True) and squares[-1] >= 0
+        assert squares[0] == isqrt(P2)
+        assert "  verdict: established" in lines
 
     def test_byte_stable_across_runs(self):
         first = run(["non-spinh8", "--a", "0", "--json"])
@@ -154,13 +166,21 @@ class TestExitCodes:
             (["s-coeffs", "--m", "65"], "s-coeffs: --m must be <= 64"),
             (["realize", "--m", "65", "--p2", "4", "--q", "7"], "realize: --m must be <= 64"),
             (["realize", "--m", "128"], "realize: --m must be <= 64"),
+            (["realize", "--m", "16"], "realize: --m must be <= 8 without --p2 and --q"),
             (
                 ["mayer-check", "--m", "65", "--k", "1", "--p2", "0", "--q", "0"],
                 "mayer-check: --m must be <= 64",
             ),
             (["pin-table", "--max-dim", "100001"], "pin-table: --max-dim must be <= 100000"),
         ],
-        ids=["s-coeffs", "realize-conditions", "realize-search", "mayer-check", "pin-table"],
+        ids=[
+            "s-coeffs",
+            "realize-conditions",
+            "realize-search",
+            "realize-search-m16",
+            "mayer-check",
+            "pin-table",
+        ],
     )
     def test_budgets_are_two(self, monkeypatch, argv, message):
         def build(*args):
@@ -169,6 +189,7 @@ class TestExitCodes:
         for name in ("signature_series", "ahat_series"):
             monkeypatch.setattr(genus, name, build)
         monkeypatch.setattr(certify, "guaranteed_structures", build)
+        monkeypatch.setattr(certify, "realization_search", build)
         assert run(argv) == (2, message)
         assert run(argv + ["--json"]) == (2, message)
 
@@ -853,7 +874,8 @@ SUBCOMMANDS = st.one_of(
         st.integers(-3, 7).map(lambda m: ["--m", str(m)]),
         _flags(**{"--sigma-min": st.integers(-(10**40), 10**40)}),
     ),
-    # without --p2 and --q this is a witness search, so m >= 8 needs a flag
+    # without --p2 and --q this is a witness search: m = 8 takes a second and
+    # m >= 16 exits 2, so m >= 8 needs a flag
     st.tuples(
         st.just(["realize"]),
         st.integers(-3, 16).map(lambda m: ["--m", str(m)]),

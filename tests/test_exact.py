@@ -1,10 +1,30 @@
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincert import exact
+from spincert import certify, exact
+
+
+def _four_squares_exhaustive(x):
+    """The enumerator as it was before its b and c loops got lower bounds: the slow oracle."""
+    if x < 0:
+        raise ValueError(f"four_squares needs a non-negative integer, got {x}")
+    for a in range(isqrt(x), -1, -1):
+        rest_a = x - a * a
+        if rest_a > 3 * a * a:
+            break  # a too small to dominate the remaining three squares
+        for b in range(0, min(a, isqrt(rest_a)) + 1):
+            rest_b = rest_a - b * b
+            for c in range(0, min(b, isqrt(rest_b)) + 1):
+                rest_c = rest_b - c * c
+                d = isqrt(rest_c)
+                if d * d == rest_c and d <= c:
+                    return (a, b, c, d)
+    raise AssertionError(f"unreachable: no four-square decomposition found for {x}")
 
 
 class TestNu2:
@@ -149,6 +169,20 @@ class TestFourSquares:
     def test_negative(self):
         with pytest.raises(ValueError):
             exact.four_squares(-1)
+
+    def test_matches_the_exhaustive_oracle_up_to_10000(self):
+        for x in range(10001):
+            assert exact.four_squares(x) == _four_squares_exhaustive(x), x
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**12 - 1))
+    def test_matches_the_exhaustive_oracle_below_10_to_12(self, x):
+        assert exact.four_squares(x) == _four_squares_exhaustive(x)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_exhaustive_oracle_on_search_p2(self, m):
+        P2 = certify.realization_search(m).P2
+        assert exact.four_squares(P2) == _four_squares_exhaustive(P2)
 
 
 class TestCanonicalForm:
