@@ -44,7 +44,7 @@ def load_model(path: str):
     if "basis" in doc:
         return mod2.space_model_from_dict(doc)
     if "P2" in doc:
-        return mod2.rhc_model_from_dict(doc)
+        return certify.RHCModel(**mod2.rhc_fields_from_dict(doc))
     raise mod2.ModelError(
         "unrecognized model document: expected 'basis' (space model) or 'P2' (rhc model)"
     )
@@ -56,8 +56,6 @@ def load_model(path: str):
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if value is None:
-        return "-"
     return json.dumps(value)
 
 

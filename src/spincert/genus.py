@@ -349,23 +349,22 @@ def s2m_bernoulli(m: int) -> Fraction:
 
 
 def rhc_ahat_twist_coeffs(m: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    """The pairs (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q, for t = 0, 1, 2.
+    """The pairs (a, b) with integral(e1^t * Ahat) = a*P2 + b*Q, for t = 0 and 2.
 
     On an 8m-dimensional rationally highly connected model only the
     monomials p_m^2 and p_{2m} survive rationally; everything else is
     torsion and integrates to zero.  The products are therefore taken in
     the truncated algebra of :func:`_sequence_triple`, where
-    Ahat = 1 + a1 p_m + a11 p_m^2 + a2 p_2m and, by Newton's identities,
-    e1 = 2 ps_m / (2m)! + 2 ps_2m / (4m)! = c1 p_m + c2 p_m^2 + c3 p_2m.
-    e1 has no constant term, so e1 Ahat = c1 p_m + (c1 a1 + c2) p_m^2 + c3 p_2m
-    and e1^2 Ahat = c1^2 p_m^2.
+    Ahat = 1 + a1 p_m + a11 p_m^2 + a2 p_2m.  By Newton's identities e1 is
+    c1 p_m plus terms of degree 8m, with c1 = 2 (-1)^(m-1) m / (2m)!.
+    e1 has no constant term, so e1^2 Ahat = c1^2 p_m^2 and the sign of c1
+    drops out.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    a1, a11, a2 = _sequence_triple(ahat_series(2 * m), m)
-    c1 = Fraction(2 * (-1) ** (m - 1) * m, factorial(2 * m))
-    c2, c3 = Fraction(2 * m, factorial(4 * m)), Fraction(-4 * m, factorial(4 * m))
-    return (a11, a2), (c1 * a1 + c2, c3), (c1 * c1, Fraction(0))
+    _, a11, a2 = _sequence_triple(ahat_series(2 * m), m)
+    c1 = Fraction(2 * m, factorial(2 * m))
+    return (a11, a2), (c1 * c1, Fraction(0))
 
 
 def ahat_rhc_coeffs(m: int) -> Tuple[Fraction, Fraction]:
@@ -403,7 +402,7 @@ def mayer_integrality_check(model, k: int) -> Certificate:
             "the normal-bundle factor need not be rationally trivial"
         )
     l = k // 2
-    (a0, b0), _, (a2, b2) = rhc_ahat_twist_coeffs(model.m)
+    (a0, b0), (a2, b2) = rhc_ahat_twist_coeffs(model.m)
     ahat = a0 * model.P2 + b0 * model.Q
     twisted = a2 * model.P2 + b2 * model.Q
     checks = []

@@ -402,6 +402,12 @@ class TestKleinObstruction:
         assert cert.parameters["dimension"] == 10
         assert cert.witnesses["factor_certificate"].claim == "not-spin^h"
 
+    def test_document_survives_json(self):
+        base = certify.nonspinh8_certificate(0)
+        doc = certify.klein_product_pin_obstruction(base).to_dict()
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["witnesses"]["factor_certificate"] == base.to_dict()
+
     def test_from_wu_square(self):
         base = mod2.w5_verdict(mod2.kunneth(mod2.wu_manifold(), mod2.wu_manifold()))
         cert = certify.klein_product_pin_obstruction(base)

@@ -701,6 +701,17 @@ class TestModelLoading:
         assert code == 2
         assert document.startswith(f"spincert {command[0]}: error: {message}")
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_unit_law_violation_exit_two(self, tmp_path, as_json):
+        doc = json.loads(resources.files("spincert").joinpath("data/wu.json").read_text())
+        doc["products"].append(["1", "z2", []])
+        path = tmp_path / "wu.json"
+        path.write_text(json.dumps(doc))
+        argv = ["wu-product", "--model", str(path), *(["--json"] if as_json else [])]
+        code, document = run(argv)
+        assert code == 2
+        assert document == "spincert wu-product: error: field 'products': unit law fails on 'z2'"
+
     def test_invalid_json_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

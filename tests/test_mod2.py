@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from importlib import resources
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +272,10 @@ class TestBuildAlgebra:
     def test_unit_must_have_degree_zero(self):
         with pytest.raises(AlgebraError):
             build_algebra([("1", 1)], {})
+
+    def test_unit_law_violation_names_element(self):
+        with pytest.raises(AlgebraError, match="unit law fails on 'z2'"):
+            build_algebra([("1", 0), ("z2", 2)], {("1", "z2"): []})
 
     def test_product_across_algebras_refused(self):
         with pytest.raises(AlgebraError, match="elements belong to different algebras"):
@@ -679,6 +687,11 @@ class TestSymbolicBundles:
             with pytest.raises(ValueError, match="different rings"):
                 combine(a, b)
 
+    def test_products_keep_every_degree(self):
+        # degree 6 lies above k + 2 = 4; nothing is cut off
+        w2 = sw_ring(2).gen("w2")
+        assert (w2 * w2 * w2).monos == {(0, 3)}
+
     def test_no_class_above_the_rank(self):
         ring = sw_ring(2)
         with pytest.raises(ValueError, match="rank-1 bundle has no SW class above degree 1"):
@@ -782,8 +795,8 @@ class TestSymbolicBundles:
 
     @staticmethod
     def assert_matches(total, oracle):
-        # every degree the truncated ring holds, past the rank on both sides
-        for j in range(total.ring.max_degree + 1):
+        # degrees 0..rank + 2, so 0..k + 2 at least, past the rank on both sides
+        for j in range(total.rank + 3):
             expected = oracle[j] if j < len(oracle) else total.ring.zero()
             assert total.component(j) == expected, j
 
@@ -1060,3 +1073,15 @@ class TestModelDocuments:
     def test_closed_manifolds_load(self, model):
         doc = json.loads(space_model_to_json(model))
         assert mod2.space_model_from_dict(doc) == model
+
+
+def test_mod2_loads_neither_certify_nor_genus():
+    script = "import sys, spincert.mod2; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mod2.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "spincert.mod2" in loaded
+    assert not loaded & {"spincert.certify", "spincert.genus"}
