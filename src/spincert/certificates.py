@@ -114,12 +114,6 @@ class Certificate:
                 f"verdict {self.verdict!r} requires all checks to pass; failed: {failed}"
             )
 
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "claim": self.claim,

@@ -75,10 +75,6 @@ class RHCModel:
                 "differ in parity; sigma = b+ - b- and b+ + b- agree mod 2"
             )
 
-    @property
-    def dimension(self) -> int:
-        return 8 * self.m
-
 
 @dataclass(frozen=True)
 class RealizationWitness:
@@ -397,9 +393,12 @@ class GuaranteeRow:
     dimension: int
     cohen_k: int
     orientable_k: int
-    orientable_label: str
     pin_k: int
     pin_sign: str
+
+    @property
+    def orientable_label(self) -> str:
+        return spin_label(self.orientable_k)
 
     @property
     def pin_structure(self) -> str:
@@ -435,7 +434,6 @@ def guaranteed_structures(n: int) -> GuaranteeRow:
         dimension=n,
         cohen_k=k,
         orientable_k=orientable_k,
-        orientable_label=spin_label(orientable_k),
         pin_k=pin_k,
         pin_sign=sign,
     )

@@ -89,9 +89,6 @@ class PontryaginPolynomial:
             total += c
         return Fraction(total, self.denominator)
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def __repr__(self) -> str:
         return f"PontryaginPolynomial({self})"
 

@@ -42,12 +42,12 @@ class ModelError(ValueError):
 class F2Algebra:
     """Graded-commutative unital algebra over F2 with a finite basis.
 
-    Elements are int bitmasks over the basis (bit i is ``names[i]``), and
-    ``mul[i][j]`` is the product of basis elements i and j, held as a tuple
-    of tuples.  Construction indexes the basis and trusts the table: a
-    declared table goes through :func:`build_algebra`, which checks the
-    axioms, and :func:`kunneth` builds tables that satisfy them by
-    construction.  An algebra is read-only once built, as a shared
+    Elements are int bitmasks over the basis (bit i is ``names[i]``); there
+    is no element type.  ``mul[i][j]`` is the product of basis elements i
+    and j, held as a tuple of tuples.  Construction indexes the basis and
+    trusts the table: a declared table goes through :func:`build_algebra`,
+    which checks the axioms, and :func:`kunneth` builds tables that satisfy
+    them by construction.  An algebra is read-only once built, as a shared
     :class:`SpaceModel` needs.
     """
 
@@ -79,17 +79,8 @@ class F2Algebra:
             mask |= 1 << self._index[name]
         return mask
 
-    def element(self, names: Iterable[str]) -> "F2Element":
-        return F2Element(self, self.mask(names))
-
-    def one(self) -> "F2Element":
-        return self.element([self.unit])
-
-    def basis_of_degree(self, degree: int) -> List[str]:
-        return [n for n, d in zip(self.names, self.degrees) if d == degree]
-
     def dim(self, degree: int) -> int:
-        return len(self.basis_of_degree(degree))
+        return self.degrees.count(degree)
 
     @property
     def top_degree(self) -> int:
@@ -164,24 +155,6 @@ def _basis_index(names: Sequence[str], degrees: Sequence[int], unit: str) -> Dic
     if degrees[index[unit]] != 0:
         raise AlgebraError(f"unit {unit!r} must have degree 0", "unit")
     return index
-
-
-@dataclass(frozen=True)
-class F2Element:
-    algebra: F2Algebra
-    mask: int
-
-    @property
-    def support(self) -> FrozenSet[str]:
-        return frozenset(self.algebra.names[i] for i in _bits(self.mask))
-
-    def __mul__(self, other: "F2Element") -> "F2Element":
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraError("elements belong to different algebras")
-        return F2Element(self.algebra, self.algebra.product(self.mask, other.mask))
-
-    def is_zero(self) -> bool:
-        return not self.mask
 
 
 def build_algebra(
@@ -280,7 +253,8 @@ class SpaceModel:
 
     A frozen model: ``sw`` is the mask of the total class
     w = 1 + w_1 + w_2 + ..., unit included, so w_d is its degree-d part,
-    and the algebra's table is tuples.
+    and the algebra's table is tuples.  Classes are masks over the basis,
+    like every element of an :class:`F2Algebra`.
     """
 
     name: str
@@ -294,7 +268,7 @@ class SpaceModel:
         # range first: a negative int never runs out of bits
         if self.sw < 0 or self.sw >> len(algebra.names):
             raise ModelError("the total SW class is not a mask over the basis")
-        if self.w(0).mask != algebra.one().mask:
+        if self.w(0) != algebra.mask([algebra.unit]):
             raise ModelError("the total SW class must have the unit as its degree-0 part")
         # a closed n-manifold has H^n(M; F2) != 0 and nothing above degree n
         if algebra.top_degree != dimension:
@@ -317,10 +291,10 @@ class SpaceModel:
                     f"mod-2 dimension {actual}, integral profile predicts {expected}"
                 )
 
-    def w(self, degree: int) -> F2Element:
-        """w_degree: the degree-``degree`` part of the total class."""
+    def w(self, degree: int) -> int:
+        """w_degree: the mask of the degree-``degree`` part of the total class."""
         degrees = self.algebra.degrees
-        return F2Element(self.algebra, sum(1 << i for i in _bits(self.sw) if degrees[i] == degree))
+        return sum(1 << i for i in _bits(self.sw) if degrees[i] == degree)
 
 
 @cache
@@ -342,7 +316,7 @@ def point_model() -> SpaceModel:
     return SpaceModel(
         name="point",
         algebra=algebra,
-        sw=algebra.one().mask,
+        sw=algebra.mask([algebra.unit]),
         int_profile=IntProfile.from_mapping({0: (1, ())}),
         dimension=0,
     )
@@ -355,7 +329,7 @@ def sphere_model(n: int) -> SpaceModel:
     return SpaceModel(
         name=f"sphere-{n}",
         algebra=algebra,
-        sw=algebra.one().mask,
+        sw=algebra.mask([algebra.unit]),
         int_profile=IntProfile.from_mapping({0: (1, ()), n: (1, ())}),
         dimension=n,
     )
@@ -738,7 +712,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     except AlgebraError as err:
         raise ModelError(f"field {err.field!r}: {err}") from err
 
-    sw = algebra.one().mask
+    sw = algebra.mask([unit])
     for key, names in _require(doc, "sw", dict).items():
         degree = _degree_key("sw", key)
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -807,7 +781,7 @@ def _check_closed_manifold(model: SpaceModel) -> None:
                 f"field 'products': cup pairing degenerate in degree {d} "
                 f"(H^{d} x H^{n - d} -> H^{n})"
             )
-    orientable = model.w(1).is_zero()
+    orientable = not model.w(1)
     free = model.int_profile.free(n)
     if orientable != (free == 1):
         raise ModelError(
