@@ -105,9 +105,18 @@ def four_squares(x: int) -> Tuple[int, int, int, int]:
     where rest_a = x - a^2 and rest_b = rest_a - b^2: b >= c >= d forces
     3 b^2 >= rest_a and 2 c^2 >= rest_b, so the skipped values hold no
     valid tail, and the first tail found is still the smallest.
+
+    A multiple of 8 is searched as x / 4 and the quadruple doubled: odd
+    squares are 1 mod 8, so a sum of four squares that is 0 mod 8 has all
+    four even, and halving keeps the tie-break.  Without this, x = 2^(2k+1)
+    walks every a from sqrt(x) down to sqrt(x / 2), each with a full b, c scan.
     """
     if x < 0:
         raise ValueError(f"four_squares needs a non-negative integer, got {x}")
+    scale = 1
+    while x and x % 8 == 0:
+        x //= 4
+        scale *= 2
     for a in range(isqrt(x), -1, -1):
         rest_a = x - a * a
         if rest_a > 3 * a * a:
@@ -118,5 +127,5 @@ def four_squares(x: int) -> Tuple[int, int, int, int]:
                 rest_c = rest_b - c * c
                 d = isqrt(rest_c)
                 if d * d == rest_c and d <= c:
-                    return (a, b, c, d)
+                    return (scale * a, scale * b, scale * c, scale * d)
     raise AssertionError(f"unreachable: no four-square decomposition found for {x}")

@@ -27,6 +27,17 @@ def _four_squares_exhaustive(x):
     raise AssertionError(f"unreachable: no four-square decomposition found for {x}")
 
 
+def _four_squares_halving(x):
+    """The slow oracle on x / 4, doubled, for a multiple of 8, whose four squares are all even.
+
+    The plain oracle scans every a down to sqrt(x / 2) on x = 2^(2k+1), which
+    does not finish for x near 10^12.
+    """
+    if x and x % 8 == 0:
+        return tuple(2 * v for v in _four_squares_halving(x // 4))
+    return _four_squares_exhaustive(x)
+
+
 class TestNu2:
     def test_examples(self):
         assert exact.nu2(2) == 1
@@ -174,10 +185,21 @@ class TestFourSquares:
         for x in range(10001):
             assert exact.four_squares(x) == _four_squares_exhaustive(x), x
 
+    def test_halving_matches_the_exhaustive_oracle_up_to_10000(self):
+        for x in range(0, 10001, 8):
+            assert _four_squares_halving(x) == _four_squares_exhaustive(x), x
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**12 - 1))
     def test_matches_the_exhaustive_oracle_below_10_to_12(self, x):
-        assert exact.four_squares(x) == _four_squares_exhaustive(x)
+        assert exact.four_squares(x) == _four_squares_halving(x)
+
+    def test_powers_of_two(self):
+        # 2^(2k) = (2^k)^2 and 2^(2k+1) = 2 (2^k)^2; odd exponents once walked sqrt(x) / 4 values of a
+        for n in range(100):
+            k = n // 2
+            expected = (2**k, 0, 0, 0) if n % 2 == 0 else (2**k, 2**k, 0, 0)
+            assert exact.four_squares(2**n) == expected, n
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_matches_the_exhaustive_oracle_on_search_p2(self, m):
