@@ -112,9 +112,9 @@ def render_text(doc: Dict) -> str:
 # -- subcommand handlers ---------------------------------------------------
 
 
-# degree 24 takes 0.31-0.37 s for the whole process (Python 3.11, shared 2-vCPU
-# host), 0.19-0.22 s of it in genus_polynomials and str; the engine's time
-# about doubles every two degrees
+# degree 24 takes 0.11-0.13 s for the whole process (Python 3.11, shared 2-vCPU
+# host), 47-57 ms of it in genus_polynomials and str; the engine's time grows
+# about 1.8 times every two degrees
 GENUS_MAX_DEGREE = 24
 # s-coeffs --m 64 takes 0.12-0.16 s and mayer-check 0.16-0.23 s for the whole
 # process; the series of 2m + 1 terms and its log-derivative cost four to nine

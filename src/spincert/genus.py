@@ -8,13 +8,18 @@ variable z always stands for the *square* of a formal Chern-style root,
 so every series here has integral powers of z and no fractional powers
 ever appear; z has weight 4 and p_i = e_i(z_1, z_2, ...) has weight 4i.
 
-The engine computes K_j by the log/power-sum route: log Q summed over
-the roots is g = sum_k l_k ps_k, with the power sums ps_k written in the
-p_i by Newton's identities.  Only the log-derivative d = zQ'/Q, whose
-coefficients are d_k = k l_k, is ever read: it is the quotient of the
-series k q_k by Q, and the total class exp(g) follows from the recurrence
-j K_j = sum_k d_k ps_k K_(j-k).  The naive many-root expansion is kept
-out of the library on purpose: it serves as the independent test oracle.
+The engine reads every coefficient of K_j as a number.  Write Q formally
+as prod_s (1 + b_s z); then the coefficient of p_lambda in K_|lambda| is
+the monomial symmetric function m_lambda of the b_s (the dual Cauchy
+identity).  The power sums of the b_s are (-1)^(k-1) d_k, where
+d = zQ'/Q is the log-derivative of Q, the quotient of the series k q_k
+by Q.  One scalar step per partition then gives each m_lambda from
+partitions of lower weight and from partitions of the same weight with a
+larger largest part.  Every series is built in integers, numerators
+over one common denominator; ``Fraction`` is made only for
+``CharacteristicSeries.coefficients``, ``SCoefficients`` and K_j.  The
+naive many-root expansion is kept out of the library on purpose: it
+serves as the independent test oracle.
 
 Each K_j comes out as a :class:`PontryaginPolynomial` that holds what the
 engine computed, integer numerators by named monomial over one denominator.
@@ -140,20 +145,17 @@ class CharacteristicSeries:
         return len(self.coefficients) - 1
 
 
-def _series_quotient(num: List[Fraction | int], den: List[Fraction]) -> Tuple[Fraction, ...]:
-    # q = num / den through the length of num, den_0 = 1:
-    # q_k = num_k - sum_{0<i<=k} den_i q_(k-i).  With den_i = big_i / e over
-    # one common denominator e, and q_0..q_(k-1) = top_i / m over one running
-    # denominator m, the sum is (sum_i big_i top_(k-i)) / (e m), all in ints.
-    den = den[: len(num)]
-    e = lcm(*(den_i.denominator for den_i in den))
-    big = [den_i.numerator * (e // den_i.denominator) for den_i in den]
+def _series_quotient(num: List[int], den: List[int]) -> Tuple[List[int], int]:
+    # q = num / den through the length of num, for integers with den_0 > 0,
+    # returned as tops over one running denominator m: q_k = top_k / m.  With
+    # q_0..q_(k-1) over m, q_k = (num_k m - sum_{0<i<=k} den_i top_(k-i)) / (den_0 m).
+    # m grows, and the tops are rescaled, only when the reduced denominator of
+    # q_k does not divide it, so m ends as the lcm of the q_k's denominators.
     tops: List[int] = []
-    out: List[Tuple[int, int]] = []
     m = 1
     for k, num_k in enumerate(num):
-        s = sum(map(mul, big[1 : k + 1], reversed(tops)))
-        a, b = num_k.numerator * e * m - num_k.denominator * s, num_k.denominator * e * m
+        a = num_k * m - sum(map(mul, den[1 : k + 1], reversed(tops)))
+        b = den[0] * m
         g = gcd(a, b)
         a, b = a // g, b // g
         if m % b:
@@ -161,28 +163,39 @@ def _series_quotient(num: List[Fraction | int], den: List[Fraction]) -> Tuple[Fr
             tops = [top * grow for top in tops]
             m *= grow
         tops.append(a * (m // b))
-        out.append((a, b))
-    return tuple(Fraction(a, b) for a, b in out)
+    return tops, m
 
 
-def _log_derivative(series: CharacteristicSeries, n: int) -> Tuple[Fraction, ...]:
-    # d = zQ'/Q through z^n: d_k = k l_k with l = log Q, and d_0 = 0
-    q = series.coefficients
-    return _series_quotient([k * q[k] for k in range(n + 1)], q)
+def _log_derivative(series: CharacteristicSeries, n: int) -> Tuple[List[int], int]:
+    # d = zQ'/Q through z^n as tops over one denominator dd: d_k = k l_k with
+    # l = log Q, and d_0 = 0.  The series k q_k over Q, both put over the lcm
+    # of Q's denominators.
+    q = series.coefficients[: n + 1]
+    e = lcm(*(q_k.denominator for q_k in q))
+    big = [q_k.numerator * (e // q_k.denominator) for q_k in q]
+    return _series_quotient([k * b for k, b in enumerate(big)], big)
+
+
+def _series(tops: List[int], m: int) -> CharacteristicSeries:
+    return CharacteristicSeries(tuple(Fraction(top, m) for top in tops))
 
 
 def signature_series(max_degree: int) -> CharacteristicSeries:
     """sqrt(z)/tanh(sqrt(z)) as a z-series: cosh-type over sinh-type factorials."""
-    num = [Fraction(1, factorial(2 * k)) for k in range(max_degree + 1)]
-    den = [Fraction(1, factorial(2 * k + 1)) for k in range(max_degree + 1)]
-    return CharacteristicSeries(_series_quotient(num, den))
+    # 1/(2k)! over 1/(2k+1)!, both times (2n+1)!
+    f = factorial(2 * max_degree + 1)
+    num = [f // factorial(2 * k) for k in range(max_degree + 1)]
+    den = [f // factorial(2 * k + 1) for k in range(max_degree + 1)]
+    return _series(*_series_quotient(num, den))
 
 
 def ahat_series(max_degree: int) -> CharacteristicSeries:
     """(sqrt(z)/2)/sinh(sqrt(z)/2) as a z-series: one over the sinh-type series at z/4."""
-    den = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(max_degree + 1)]
-    one = [int(k == 0) for k in range(max_degree + 1)]
-    return CharacteristicSeries(_series_quotient(one, den))
+    # 1 over 1/(4^k (2k+1)!), both times 4^n (2n+1)!
+    n = max_degree
+    f = factorial(2 * n + 1)
+    den = [4 ** (n - k) * (f // factorial(2 * k + 1)) for k in range(n + 1)]
+    return _series(*_series_quotient([4**n * f] + [0] * n, den))
 
 
 def mayer_series(max_degree: int) -> CharacteristicSeries:
@@ -193,95 +206,107 @@ def mayer_series(max_degree: int) -> CharacteristicSeries:
 
 
 # -- genus polynomials -------------------------------------------------
-# The engine packs the exponent vector of p_1^e_1 ... p_n^e_n into one int
-# key: field i - 1, n.bit_length() bits wide, holds e_i.  Every monomial of
-# weight at most n has exponents at most n, so adding two keys of total
-# weight at most n adds their vectors without a carry, and a monomial
-# product is one int addition.  A homogeneous polynomial is a bucket, a
-# dict from keys to integer coefficients; class names enter only in _named.
-
-Bucket = Dict[int, int]
-
-
-def _named(key: int, names: List[str]) -> Monomial:
-    # names[i - 1] is "p{i}", and the key was packed for n = len(names)
-    width = len(names).bit_length()
-    field = (1 << width) - 1
-    mono = []
-    for name in names:
-        if not key:
-            break
-        if key & field:
-            mono.append((name, key & field))
-        key >>= width
-    # names sort as strings, and "p10" < "p2"
-    return tuple(sorted(mono)) if len(names) > 9 else tuple(mono)
+# With Q(z) = prod_s (1 + b_s z) over formal roots b_s, the total class is
+# prod_r Q(z_r) = sum_lambda m_lambda(b) p_lambda (the dual Cauchy identity;
+# Macdonald, Symmetric Functions and Hall Polynomials, I.4): the coefficient
+# of p_lambda = p_1^e_1 ... p_n^e_n in K_|lambda| is the monomial symmetric
+# function m_lambda of the b_s.  A partition lambda is its multiplicity
+# vector (e_1, ..., e_n), packed into one int key: field i - 1,
+# n.bit_length() bits wide, holds e_i.  No multiplicity of a partition of at
+# most n exceeds n, so adding a part, or moving one to another field, is
+# one int addition with no carry.
 
 
-def _power_sums(n: int) -> List[Bucket]:
-    # Newton: ps_k = sum_{i<k} (-1)^(i-1) p_i ps_(k-i) + (-1)^(k-1) k p_k
-    width = n.bit_length()
-    sums: List[Bucket] = []
-    for k in range(1, n + 1):
-        acc = {1 << (k - 1) * width: (-1) ** (k - 1) * k}
-        for i in range(1, k):
-            p_i, sign = 1 << (i - 1) * width, (-1) ** (i - 1)
-            for mono, c in sums[k - i - 1].items():
-                key = mono + p_i
-                acc[key] = acc.get(key, 0) + sign * c
-        sums.append(acc)
-    return sums
-
-
-def _genus_buckets(
+def _genus_terms(
     series: CharacteristicSeries, n: int
-) -> Tuple[List[Bucket], List[int]]:
-    # K_1..K_n, each an integer bucket over its denominator, in lowest terms
+) -> Tuple[List[Dict[Monomial, int]], List[int]]:
+    # K_1..K_n, each as integer numerators by named monomial over one
+    # denominator, zero-free but not in lowest terms: PontryaginPolynomial
+    # reduces them
     if n < 1:
         raise ValueError("n must be >= 1")
     if series.max_degree < n:
         raise ValueError(
             f"series tracked through degree {series.max_degree}, need {n}"
         )
-    # K = exp(g) with g = sum_k l_k ps_k, l = log Q; the weight-j part of
-    # dK = dg K reads j K_j = sum_{k<=j} d_k ps_k K_(j-k), where d_k = k l_k
-    # are the coefficients of zQ'/Q, here top_k / dd over one denominator dd.
-    # With below = lcm(dens[<j]), every weight d_k / (j dens[j-k]) is an
-    # integer over j dd below, and one gcd brings K_j to lowest terms.
-    d = _log_derivative(series, n)
-    dd = lcm(*(dk.denominator for dk in d))
-    top = [dk.numerator * (dd // dk.denominator) for dk in d]
-    sums = _power_sums(n)
-    nums, dens, below = [{0: 1}], [1], 1
+    # The power sums of the roots are P_k = (-1)^(k-1) d_k, d = zQ'/Q, and the
+    # augmented monomials mt_lambda = (prod_i e_i!) m_lambda obey
+    #   P_a mt_mu = mt_(mu + {a}) + sum_i e_i(mu) mt_(mu with one part i raised to i + a).
+    # Read with a the largest part of lambda = mu + {a}, this gives mt_lambda
+    # from mt_mu of lower weight and from raised partitions of the same weight,
+    # whose largest part exceeds a.  So each weight walks its partitions by
+    # decreasing largest part, every mt it reads already known.  With
+    # below = lcm(dens[<j]), the mt of weight j are integers over dd below, and
+    # one gcd per weight brings them to dens[j].
+    tops, dd = _log_derivative(series, n)
+    width = n.bit_length()
+    field = (1 << width) - 1
+    bit = [0] + [1 << (i - 1) * width for i in range(1, n + 1)]
+    names = [""] + [f"p{i}" for i in range(1, n + 1)]
+    ps = [-top if k % 2 == 0 else top for k, top in enumerate(tops)]
+    # per weight, by decreasing largest part: the keys, largest parts,
+    # prod e_i! and named monomials of its partitions, and their mt
+    # numerators over dens[w]
+    keys, bigs, facts, monos, vals = [[0]], [[0]], [[1]], [[()]], [[1]]
+    dens, below = [1], 1
+    nums: List[Dict[Monomial, int]] = []
+    out_dens: List[int] = []
     for j in range(1, n + 1):
         below = lcm(below, dens[j - 1])
-        den = j * dd * below
-        acc: Bucket = {}
-        get = acc.get
-        for k in range(1, j + 1):
-            w = top[k] * (below // dens[j - k])
-            lower = nums[j - k].items()
-            for ma, ca in sums[k - 1].items():
-                c = ca * w
-                for mb, cb in lower:
-                    key = ma + mb
-                    acc[key] = get(key, 0) + c * cb
-        g = gcd(den, *acc.values())
-        nums.append({mono: c // g for mono, c in acc.items() if c})
+        kj: List[int] = []
+        bj: List[int] = []
+        fj: List[int] = []
+        mj: List[Monomial] = []
+        mt: Dict[int, int] = {}
+        for a in range(j, 0, -1):
+            w = ps[a] * (below // dens[j - a])
+            shift, name = (a - 1) * width, names[a]
+            for mu, big, fact, mono, v in zip(
+                keys[j - a], bigs[j - a], facts[j - a], monos[j - a], vals[j - a]
+            ):
+                if big > a:
+                    continue
+                acc = w * v
+                # the parts i of mu, read off its key field by field
+                rest, i = mu, 1
+                while rest:
+                    e = rest & field
+                    if e:
+                        acc -= e * mt[mu - bit[i] + bit[i + a]]
+                    rest >>= width
+                    i += 1
+                lam = mu + bit[a]
+                mt[lam] = acc
+                kj.append(lam)
+                bj.append(a)
+                # p_a is the last name of mu's monomial when mu has a part a
+                e = mu >> shift & field
+                fj.append(fact * (e + 1))
+                mj.append((*mono[:-1], (name, e + 1)) if e else (*mono, (name, 1)))
+        den = dd * below
+        g = gcd(den, *mt.values())
+        keys.append(kj)
+        bigs.append(bj)
+        facts.append(fj)
+        monos.append(mj)
+        vals.append([mt[lam] // g for lam in kj])
         dens.append(den // g)
-    return nums[1:], dens[1:]
+        # the coefficient of p_lambda is mt_lambda / prod_i e_i!; names sort as
+        # strings, and "p10" < "p2"
+        f = lcm(*fj)
+        terms = zip(mj, vals[j], fj)
+        if n > 9:
+            terms = ((tuple(sorted(mono)), v, fact) for mono, v, fact in terms)
+        nums.append({mono: v * (f // fact) for mono, v, fact in terms if v})
+        out_dens.append(dens[j] * f)
+    return nums, out_dens
 
 
 def genus_polynomials(
     series: CharacteristicSeries, n: int
 ) -> List[PontryaginPolynomial]:
     """The polynomials K_1..K_n of the multiplicative sequence of ``series``."""
-    nums, dens = _genus_buckets(series, n)
-    names = [f"p{i}" for i in range(1, n + 1)]
-    return [
-        PontryaginPolynomial({_named(m, names): c for m, c in bucket.items()}, d)
-        for bucket, d in zip(nums, dens)
-    ]
+    return [PontryaginPolynomial(*pair) for pair in zip(*_genus_terms(series, n))]
 
 
 # -- signature-sequence coefficients -----------------------------------
@@ -311,9 +336,9 @@ def _sequence_triple(
     Algebraic Geometry, section 1).  In d = zQ'/Q, d_k = k l_k, that is
     s_m = (-1)^(m-1) d_m, s_2m = -d_2m and s_mm = (d_2m + s_m^2)/2.
     """
-    d = _log_derivative(series, 2 * m)
-    s_m = (-1) ** (m - 1) * d[m]
-    return s_m, (d[2 * m] + s_m * s_m) / 2, -d[2 * m]
+    tops, dd = _log_derivative(series, 2 * m)
+    s_m, d_2m = Fraction((-1) ** (m - 1) * tops[m], dd), Fraction(tops[2 * m], dd)
+    return s_m, (d_2m + s_m * s_m) / 2, -d_2m
 
 
 @lru_cache(maxsize=None)

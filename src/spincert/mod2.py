@@ -686,6 +686,16 @@ def _degree_key(field: str, key: str) -> int:
     raise ModelError(f"field {field!r}: degree key {key!r} is not a canonical integer")
 
 
+def _refuse_repeated(field: str, index: int | str, names: List[str]) -> None:
+    # a name list is a sum over F2, read as a set of names: a repeated name
+    # would be kept once where the sum cancels it
+    if len(set(names)) < len(names):
+        twice = next(name for name, count in Counter(names).items() if count > 1)
+        raise ModelError(
+            f"field '{field}[{index}]': {twice!r} is listed twice; a name list is a sum over F2"
+        )
+
+
 def space_model_from_dict(doc: Mapping) -> SpaceModel:
     name = _require(doc, "name", str)
     dimension = _require(doc, "dimension", int)
@@ -702,6 +712,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
     for i, entry in enumerate(_require(doc, "products", list)):
         if not _is_row(entry, str, str, list) or not all(isinstance(n, str) for n in entry[2]):
             raise ModelError(f"field 'products[{i}]': expected [left, right, [names]]")
+        _refuse_repeated("products", i, entry[2])
         pair = (entry[0], entry[1])
         value = frozenset(entry[2])
         if pair in products and products[pair] != value:
@@ -717,6 +728,7 @@ def space_model_from_dict(doc: Mapping) -> SpaceModel:
         degree = _degree_key("sw", key)
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ModelError(f"field 'sw[{key}]': expected a list of basis names")
+        _refuse_repeated("sw", key, names)
         try:
             mask = algebra.mask(names)
         except AlgebraError as err:

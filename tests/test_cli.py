@@ -625,6 +625,15 @@ class TestModelLoading:
                 lambda doc: doc["sw"].update({"2": ["z3"]}),
                 "sw component in degree 2 contains 'z3' of degree 3",
             ),
+            # read as a set, w2 = z2 + z2 = 0 would load as z2 and exit 1
+            (
+                lambda doc: doc["sw"].update({"2": ["z2", "z2"]}),
+                "field 'sw[2]': 'z2' is listed twice; a name list is a sum over F2",
+            ),
+            (
+                lambda doc: doc.update(products=[[a, b, names * 2] for a, b, names in doc["products"]]),
+                "field 'products[1]': 'z5' is listed twice; a name list is a sum over F2",
+            ),
             (
                 lambda doc: doc["int_profile"].update({"7": {"free": 1, "torsion": []}}),
                 "integral data above the dimension, in degree 7",
@@ -648,6 +657,8 @@ class TestModelLoading:
             "products-unknown-element",
             "products-duplicate-pair",
             "sw-wrong-degree",
+            "sw-repeated-name",
+            "products-repeated-names",
             "int-profile-above-dimension",
             "duplicate-key-top-level",
             "duplicate-key-int-profile",

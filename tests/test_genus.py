@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # Fraction}; the degree of z_i is 1 (one z-degree unit = real degree 4).
 # The oracle multiplies out prod_i Q(z_i) and rewrites each homogeneous
 # part in elementary symmetric polynomials by lexicographic descent,
-# with no shared code with the engine's log/Newton route.
+# with no shared code with the engine's partition recurrence.
 
 
 def _poly_mul(a, b, max_deg):
@@ -130,14 +131,17 @@ def _oracle_genus(series, n, n_roots):
     return parts
 
 
-# -- slow oracle for the packed monomial keys ------------------------------
+# -- slow oracle by the power-sum route -------------------------------------
 #
-# The engine's recurrence j K_j = sum_k d_k ps_k K_(j-k) with each monomial
-# p_1^e_1 ... p_n^e_n keyed by its exponent tuple (e_1, ..., e_n) and rational
-# coefficients, so a product of monomials adds tuples entry by entry.  The
-# library packs the same vectors into ints; this keeps the unpacked form.  The
+# A different algorithm from the engine's: log Q summed over the roots is
+# g = sum_k l_k ps_k, with the power sums ps_k written in the p_i by Newton's
+# identities, and the total class exp(g) follows from the recurrence
+# j K_j = sum_k k l_k ps_k K_(j-k), a product of whole polynomials per step.
+# Each monomial p_1^e_1 ... p_n^e_n is keyed by its exponent tuple
+# (e_1, ..., e_n) with rational coefficients, so a product of monomials adds
+# tuples entry by entry; the engine packs the same vectors into ints.  The
 # library reads d_k = k l_k from the quotient zQ'/Q; this takes l = log Q from
-# its own logarithm recurrence and multiplies back by k.
+# its own logarithm recurrence.
 
 
 def _series_log(a, n):
@@ -271,12 +275,14 @@ def twist_class_e1(max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     n = max_degree // 4
-    names = [f"p{i}" for i in range(1, n + 1)]
     # every term over the common denominator (2n)!
     numerators = {}
-    for r, ps in enumerate(genus._power_sums(n), 1):
+    for r, ps in enumerate(_tuple_power_sums(n), 1):
         scale = 2 * (factorial(2 * n) // factorial(2 * r))
-        numerators.update((genus._named(m, names), scale * c) for m, c in ps.items())
+        numerators.update(
+            (tuple(sorted((f"p{i}", e) for i, e in enumerate(mono, 1) if e)), scale * c)
+            for mono, c in ps.items()
+        )
     return PP(numerators, factorial(2 * n))
 
 
@@ -434,13 +440,23 @@ class TestSeries:
         for n in range(65):
             series = maker(n)
             logs = _series_log(series.coefficients, n)
-            assert genus._log_derivative(series, n) == tuple(k * l for k, l in enumerate(logs)), n
+            tops, dd = genus._log_derivative(series, n)
+            assert [Fraction(top, dd) for top in tops] == [k * l for k, l in enumerate(logs)], n
 
     @settings(max_examples=200, deadline=None)
     @given(_quotient_inputs())
     def test_integer_quotient_matches_the_fraction_recurrence(self, inputs):
+        # the library takes both series over one common denominator e, which
+        # leaves the quotient alone and makes den_0 = e; its running
+        # denominator must end as the least one
         num, den = inputs
-        assert genus._series_quotient(num, den) == _fraction_series_quotient(num, den)
+        e = lcm(*(d.denominator for d in den))
+        tops, m = genus._series_quotient(
+            [x * e for x in num], [d.numerator * (e // d.denominator) for d in den]
+        )
+        oracle = _fraction_series_quotient(num, den)
+        assert tuple(Fraction(top, m) for top in tops) == oracle
+        assert m == lcm(*(q.denominator for q in oracle))
 
     def test_mayer_series(self):
         coeffs = genus.mayer_series(3).coefficients
@@ -569,9 +585,26 @@ class TestGenusPolynomials:
                 assert kc[j] == sum(ka[i] * kb[j - i] for i in range(j + 1))
 
 
+# SHA-256 of the printed `spincert genus --series S --degree 24`, which holds
+# every K_j up to the degree cap; taken from the power-sum engine that the
+# partition recurrence replaced
+DEGREE_CAP_DIGESTS = {
+    "L": "29a321ba3663426d397aa99410fb33c060331580e317117f7cc15fd38a684bfc",
+    "ahat": "3de8a3376241ffc88f8d02a01821bd38abe3c6c823077bcdfde50d1120b423ec",
+    "mayer": "975cb748e189b541d9f619a3473d4d75c4afa3754058f252deb22d7589400339",
+}
+
+
 class TestGenusTexts:
     # the printed K_j, read back by _parse_printed, against oracles that
     # share no code with the printer
+
+    @pytest.mark.parametrize("series", sorted(DEGREE_CAP_DIGESTS))
+    def test_degree_cap_texts_are_pinned(self, series):
+        code, document = cli.run(["genus", "--series", series, "--degree", "24"])
+        assert code == 0
+        digest = hashlib.sha256((document + "\n").encode()).hexdigest()
+        assert digest == DEGREE_CAP_DIGESTS[series]
 
     @pytest.mark.parametrize("maker", [genus.signature_series, genus.ahat_series, genus.mayer_series])
     def test_texts_are_the_printed_polynomials(self, maker):
