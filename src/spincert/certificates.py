@@ -6,16 +6,20 @@ verdict of ``established`` or ``excluded`` is only legal when every
 recorded check passed; inconclusive certificates may carry failed
 checks as evidence of what went wrong.  Certificates and checks are
 immutable (``checks`` is a tuple, ``parameters`` and ``witnesses`` are
-read-only copies), and ``dataclasses.replace`` applies the rule again.
+read-only copies): assigning or deleting a field raises ``AttributeError``,
+and a changed copy is rebuilt through the constructor, which applies the
+rule again.
+
+:class:`ReadOnly` is the base of every value type in spincert.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 ESTABLISHED = "established"
 EXCLUDED = "excluded"
@@ -25,6 +29,44 @@ VERDICTS = (ESTABLISHED, EXCLUDED, INCONCLUSIVE)
 
 class CertificateError(ValueError):
     pass
+
+
+class ReadOnly:
+    """Base of spincert's read-only value types.
+
+    A subclass names its fields in ``__slots__`` and sets them in its
+    ``__init__`` with ``object.__setattr__``; after that, assigning or
+    deleting any attribute raises ``AttributeError``.  Instances compare,
+    hash and print by type and public field values.  A slot whose name
+    starts with an underscore holds data derived from the public fields and
+    is left out.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the public field names, and one getter that reads their values (a
+        # single value, not a tuple, for a class with one public field)
+        cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._values = attrgetter(*cls._names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._values(self)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is read-only: cannot delete {name!r}")
 
 
 def spin_label(k: int) -> str:
@@ -71,15 +113,17 @@ def exact_to_json(value: Any) -> Any:
     raise CertificateError(f"cannot serialize value of type {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(ReadOnly):
     """One verified (or failed) fact: ``lhs relation rhs``."""
 
-    name: str
-    lhs: Any
-    rhs: Any
-    relation: str
-    passed: bool
+    __slots__ = ("name", "lhs", "rhs", "relation", "passed")
+
+    def __init__(self, name: str, lhs: Any, rhs: Any, relation: str, passed: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "passed", passed)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -91,27 +135,31 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    parameters: Mapping[str, Any]
-    checks: Tuple[Check, ...]
-    verdict: str
-    witnesses: Optional[Mapping[str, Any]] = None
+class Certificate(ReadOnly):
+    __slots__ = ("claim", "parameters", "checks", "verdict", "witnesses")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
-        if self.witnesses is not None:
-            object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
-        if self.verdict not in VERDICTS:
-            raise CertificateError(f"unknown verdict {self.verdict!r}")
-        if self.verdict in (ESTABLISHED, EXCLUDED) and not all(
-            c.passed for c in self.checks
-        ):
-            failed = [c.name for c in self.checks if not c.passed]
+    def __init__(
+        self,
+        claim: str,
+        parameters: Mapping[str, Any],
+        checks: Iterable[Check],
+        verdict: str,
+        witnesses: Optional[Mapping[str, Any]] = None,
+    ) -> None:
+        checks = tuple(checks)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "parameters", MappingProxyType(dict(parameters)))
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "verdict", verdict)
+        if witnesses is not None:
+            witnesses = MappingProxyType(dict(witnesses))
+        object.__setattr__(self, "witnesses", witnesses)
+        if verdict not in VERDICTS:
+            raise CertificateError(f"unknown verdict {verdict!r}")
+        if verdict in (ESTABLISHED, EXCLUDED) and not all(c.passed for c in checks):
+            failed = [c.name for c in checks if not c.passed]
             raise CertificateError(
-                f"verdict {self.verdict!r} requires all checks to pass; failed: {failed}"
+                f"verdict {verdict!r} requires all checks to pass; failed: {failed}"
             )
 
     def to_dict(self) -> Dict[str, Any]:

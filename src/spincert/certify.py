@@ -10,7 +10,6 @@ obstructions has certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
@@ -24,6 +23,7 @@ from .certificates import (
     ESTABLISHED,
     EXCLUDED,
     INCONCLUSIVE,
+    ReadOnly,
     pin_label,
     spin_label,
 )
@@ -43,8 +43,7 @@ class InconsistentLiftError(ValueError):
 # -- models and witnesses ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RHCModel:
+class RHCModel(ReadOnly):
     """Rationally highly connected 8m-model with its two surviving numbers.
 
     P2 is integral(p_m^2) and Q is integral(p_{2m}).  In terms of the
@@ -52,45 +51,52 @@ class RHCModel:
     the dimension-8 family with p_1 = x * generator, P2 equals x^2.
     """
 
-    m: int
-    middle_betti: int
-    sigma: int
-    P2: int
-    Q: int
+    __slots__ = ("m", "middle_betti", "sigma", "P2", "Q")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, middle_betti: int, sigma: int, P2: int, Q: int) -> None:
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.middle_betti < 0:
+        if middle_betti < 0:
             raise ValueError("middle Betti number must be >= 0")
-        if abs(self.sigma) > self.middle_betti:
+        if abs(sigma) > middle_betti:
             raise ValueError(
-                f"|sigma| = {abs(self.sigma)} exceeds the middle Betti number "
-                f"{self.middle_betti}"
+                f"|sigma| = {abs(sigma)} exceeds the middle Betti number {middle_betti}"
             )
         # b - |sigma| = 2 min(b+, b-), since sigma = b+ - b- and b = b+ + b-
-        if (self.middle_betti - abs(self.sigma)) % 2:
+        if (middle_betti - abs(sigma)) % 2:
             raise ValueError(
-                f"sigma = {self.sigma} and the middle Betti number {self.middle_betti} "
+                f"sigma = {sigma} and the middle Betti number {middle_betti} "
                 "differ in parity; sigma = b+ - b- and b+ + b- agree mod 2"
             )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "middle_betti", middle_betti)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "P2", P2)
+        object.__setattr__(self, "Q", Q)
 
 
-@dataclass(frozen=True)
-class RealizationWitness:
+class RealizationWitness(ReadOnly):
     """Poincare-algebra witness for a realizable (P2, Q, sigma) triple."""
 
-    sigma: int
-    P2: int
-    Q: int
-    four_square: Tuple[int, int, int, int]
-    algebra_note: str
+    __slots__ = ("sigma", "P2", "Q", "four_square", "algebra_note")
 
-    def __post_init__(self):
-        if self.sigma <= 4 or self.sigma % 2 == 0:
+    def __init__(
+        self,
+        sigma: int,
+        P2: int,
+        Q: int,
+        four_square: Tuple[int, int, int, int],
+        algebra_note: str,
+    ) -> None:
+        if sigma <= 4 or sigma % 2 == 0:
             raise ValueError("witness signature must be an odd integer > 4")
-        if sum(a * a for a in self.four_square) != self.P2:
+        if sum(a * a for a in four_square) != P2:
             raise ValueError("four-square decomposition does not sum to P2")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "P2", P2)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "four_square", four_square)
+        object.__setattr__(self, "algebra_note", algebra_note)
 
     def to_dict(self) -> Dict:
         return {
@@ -375,8 +381,7 @@ def w4_lift(p1_M: int, p1_E: int, variant: str = "plain", euler_E: int = 0) -> i
 # -- guaranteed structures ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuaranteeRow:
+class GuaranteeRow(ReadOnly):
     """Structures guaranteed for every manifold of a given dimension.
 
     ``cohen_k`` is n - alpha(n), the immersion codimension.  The
@@ -390,11 +395,16 @@ class GuaranteeRow:
     3 mod 4 (``mod2.tensor_with_det`` and ``mod2.twist_then_sum``).
     """
 
-    dimension: int
-    cohen_k: int
-    orientable_k: int
-    pin_k: int
-    pin_sign: str
+    __slots__ = ("dimension", "cohen_k", "orientable_k", "pin_k", "pin_sign")
+
+    def __init__(
+        self, dimension: int, cohen_k: int, orientable_k: int, pin_k: int, pin_sign: str
+    ) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "cohen_k", cohen_k)
+        object.__setattr__(self, "orientable_k", orientable_k)
+        object.__setattr__(self, "pin_k", pin_k)
+        object.__setattr__(self, "pin_sign", pin_sign)
 
     @property
     def orientable_label(self) -> str:

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Dict, Tuple, Union
 
 from . import certify, genus, mod2
@@ -40,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 def load_model(path: str):
     """Load a space model or an rhc model from a JSON document."""
-    doc = mod2.read_document(Path(path))
+    doc = mod2.read_document(path)
     if "basis" in doc:
         return mod2.space_model_from_dict(doc)
     if "P2" in doc:

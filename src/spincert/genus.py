@@ -37,22 +37,20 @@ Built-in series:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, spin_label
+from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, ReadOnly, spin_label
 from .exact import bernoulli
 
 Monomial = Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class PontryaginPolynomial:
+class PontryaginPolynomial(ReadOnly):
     """Polynomial in Pontryagin classes with exact rational coefficients.
 
     The read-only result type of the genus engine, held as the engine makes
@@ -62,16 +60,15 @@ class PontryaginPolynomial:
     is no arithmetic.
     """
 
-    numerators: Mapping[Monomial, int]
-    denominator: int = 1
+    __slots__ = ("numerators", "denominator")
 
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.denominator!r}")
-        g = gcd(self.denominator, *self.numerators.values())
-        nums = {mono: c // g for mono, c in self.numerators.items() if c}
+    def __init__(self, numerators: Mapping[Monomial, int], denominator: int = 1) -> None:
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator!r}")
+        g = gcd(denominator, *numerators.values())
+        nums = {mono: c // g for mono, c in numerators.items() if c}
         object.__setattr__(self, "numerators", MappingProxyType(nums))
-        object.__setattr__(self, "denominator", self.denominator // g)
+        object.__setattr__(self, "denominator", denominator // g)
 
     # -- queries -------------------------------------------------------
 
@@ -122,23 +119,24 @@ class PontryaginPolynomial:
 # -- characteristic power series ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacteristicSeries:
+class CharacteristicSeries(ReadOnly):
     """Formal power series 1 + q1*z + ... + q_max*z^max, coefficients exact.
 
     Coefficients may be given as ints or Fractions and are stored as
-    Fractions; anything else (a float, a bool) is refused.
+    Fractions: a Fraction is kept as given and an int converted; anything
+    else (a float, a bool) is refused.
     """
 
-    coefficients: Tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        for q in self.coefficients:
+    def __init__(self, coefficients: Sequence[Fraction | int]) -> None:
+        for q in coefficients:
             if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
                 raise ValueError(f"series coefficient {q!r} is not an int or a Fraction")
-        object.__setattr__(self, "coefficients", tuple(map(Fraction, self.coefficients)))
-        if not self.coefficients or self.coefficients[0] != 1:
+        coefficients = tuple(Fraction(q) if isinstance(q, int) else q for q in coefficients)
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("characteristic series must have constant term 1")
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def max_degree(self) -> int:
@@ -312,13 +310,15 @@ def genus_polynomials(
 # -- signature-sequence coefficients -----------------------------------
 
 
-@dataclass(frozen=True)
-class SCoefficients:
+class SCoefficients(ReadOnly):
     """Coefficients of p_m, p_m^2 and p_{2m} in the signature sequence."""
 
-    s_m: Fraction
-    s_mm: Fraction
-    s_2m: Fraction
+    __slots__ = ("s_m", "s_mm", "s_2m")
+
+    def __init__(self, s_m: Fraction, s_mm: Fraction, s_2m: Fraction) -> None:
+        object.__setattr__(self, "s_m", s_m)
+        object.__setattr__(self, "s_mm", s_mm)
+        object.__setattr__(self, "s_2m", s_2m)
 
 
 def _sequence_triple(

@@ -12,15 +12,14 @@ declared input data, never computed.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 from math import gcd
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, INCONCLUSIVE
+from .certificates import Certificate, Check, ESTABLISHED, EXCLUDED, INCONCLUSIVE, ReadOnly
 
 
 class AlgebraError(ValueError):
@@ -38,8 +37,7 @@ class ModelError(ValueError):
 # -- finite F2 algebras --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F2Algebra:
+class F2Algebra(ReadOnly):
     """Graded-commutative unital algebra over F2 with a finite basis.
 
     Elements are int bitmasks over the basis (bit i is ``names[i]``); there
@@ -51,15 +49,20 @@ class F2Algebra:
     :class:`SpaceModel` needs.
     """
 
-    names: Tuple[str, ...]
-    degrees: Tuple[int, ...]
-    unit: str
-    mul: Tuple[Tuple[int, ...], ...] = field(repr=False)
-    _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("names", "degrees", "unit", "mul", "_index")
 
-    def __post_init__(self) -> None:
-        index = _basis_index(self.names, self.degrees, self.unit)
-        object.__setattr__(self, "_index", MappingProxyType(index))
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        degrees: Tuple[int, ...],
+        unit: str,
+        mul: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "_index", MappingProxyType(_basis_index(names, degrees, unit)))
 
     def product(self, x: int, y: int) -> int:
         """Product of two elements given as masks."""
@@ -195,15 +198,17 @@ def build_algebra(
 # -- declared integral cohomology ----------------------------------------
 
 
-@dataclass(frozen=True)
-class IntProfile:
+class IntProfile(ReadOnly):
     """Integral cohomology, declared: degree -> (free rank, torsion orders).
 
     ``groups`` is a read-only mapping that holds the non-zero degrees only,
     in ascending order.
     """
 
-    groups: Mapping[int, Tuple[int, Tuple[int, ...]]]
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: Mapping[int, Tuple[int, Tuple[int, ...]]]) -> None:
+        object.__setattr__(self, "groups", groups)
 
     @staticmethod
     def from_mapping(data: Mapping[int, Tuple[int, Iterable[int]]]) -> "IntProfile":
@@ -247,26 +252,27 @@ class IntProfile:
 # -- manifold models -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class SpaceModel(ReadOnly):
     """Mod-2 cohomology ring, tangent SW class and declared integral data.
 
-    A frozen model: ``sw`` is the mask of the total class
+    A read-only model: ``sw`` is the mask of the total class
     w = 1 + w_1 + w_2 + ..., unit included, so w_d is its degree-d part,
     and the algebra's table is tuples.  Classes are masks over the basis,
     like every element of an :class:`F2Algebra`.
     """
 
-    name: str
-    algebra: F2Algebra
-    sw: int
-    int_profile: IntProfile
-    dimension: int
+    __slots__ = ("name", "algebra", "sw", "int_profile", "dimension")
 
-    def __post_init__(self):
-        algebra, dimension = self.algebra, self.dimension
+    def __init__(
+        self, name: str, algebra: F2Algebra, sw: int, int_profile: IntProfile, dimension: int
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "sw", sw)
+        object.__setattr__(self, "int_profile", int_profile)
+        object.__setattr__(self, "dimension", dimension)
         # range first: a negative int never runs out of bits
-        if self.sw < 0 or self.sw >> len(algebra.names):
+        if sw < 0 or sw >> len(algebra.names):
             raise ModelError("the total SW class is not a mask over the basis")
         if self.w(0) != algebra.mask([algebra.unit]):
             raise ModelError("the total SW class must have the unit as its degree-0 part")
@@ -275,7 +281,7 @@ class SpaceModel:
             raise ModelError(
                 f"top basis degree {algebra.top_degree} differs from the dimension {dimension}"
             )
-        groups = self.int_profile.groups
+        groups = int_profile.groups
         for degree in groups:
             if degree > dimension:
                 raise ModelError(f"integral data above the dimension, in degree {degree}")
@@ -283,7 +289,7 @@ class SpaceModel:
         # the degrees just below the groups (2-torsion counts one degree down)
         dims = Counter(algebra.degrees)
         for degree in sorted({*dims, *groups, *(d - 1 for d in groups if d)}):
-            expected = self.int_profile.mod2_dim(degree)
+            expected = int_profile.mod2_dim(degree)
             actual = dims[degree]
             if actual != expected:
                 raise ModelError(
@@ -308,7 +314,8 @@ def wu_manifold() -> SpaceModel:
     single order-2 class in degree 3 besides the free parts in degrees 0
     and 5.
     """
-    return space_model_from_dict(read_document(resources.files(__package__) / "data/wu.json"))
+    path = os.path.join(os.path.dirname(__file__), "data", "wu.json")
+    return space_model_from_dict(read_document(path))
 
 
 def point_model() -> SpaceModel:
@@ -488,12 +495,14 @@ def _w5_certificate(
 # -- free F2 polynomial algebras and symbolic bundle identities -------------
 
 
-@dataclass(frozen=True)
-class F2Ring:
+class F2Ring(ReadOnly):
     """Free polynomial ring over F2 on graded generators."""
 
-    gen_names: Tuple[str, ...]
-    gen_degrees: Tuple[int, ...]
+    __slots__ = ("gen_names", "gen_degrees")
+
+    def __init__(self, gen_names: Tuple[str, ...], gen_degrees: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "gen_names", gen_names)
+        object.__setattr__(self, "gen_degrees", gen_degrees)
 
     def mono_degree(self, exps: Tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
@@ -510,10 +519,12 @@ class F2Ring:
         return F2Poly(self, frozenset({exps}))
 
 
-@dataclass(frozen=True)
-class F2Poly:
-    ring: F2Ring
-    monos: FrozenSet[Tuple[int, ...]]
+class F2Poly(ReadOnly):
+    __slots__ = ("ring", "monos")
+
+    def __init__(self, ring: F2Ring, monos: FrozenSet[Tuple[int, ...]]) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "monos", monos)
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
         self._require_same_ring(other)
@@ -544,17 +555,17 @@ def sw_ring(k: int, extra_degree1: Tuple[str, ...] = ()) -> F2Ring:
     return F2Ring(names, degrees)
 
 
-@dataclass(frozen=True)
-class SymbolicSW:
+class SymbolicSW(ReadOnly):
     """Total SW class 1 + w_1 + ... of a rank-k bundle, as one polynomial."""
 
-    rank: int
-    total: F2Poly
+    __slots__ = ("rank", "total")
 
-    def __post_init__(self):
-        ring = self.total.ring
-        if any(ring.mono_degree(m) > self.rank for m in self.total.monos):
-            raise ValueError(f"a rank-{self.rank} bundle has no SW class above degree {self.rank}")
+    def __init__(self, rank: int, total: F2Poly) -> None:
+        ring = total.ring
+        if any(ring.mono_degree(m) > rank for m in total.monos):
+            raise ValueError(f"a rank-{rank} bundle has no SW class above degree {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "total", total)
 
     def component(self, degree: int) -> F2Poly:
         """w_degree: the degree-``degree`` part of the total, zero outside 0..rank."""
@@ -633,20 +644,21 @@ def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict:
     return doc
 
 
-def read_document(path) -> Dict:
-    """The JSON object in a model file or package resource; a repeated key is refused."""
+def read_document(path: str) -> Dict:
+    """The JSON object in the model file at ``path``; a repeated key is refused."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as err:
-        raise ModelError(f"cannot read model file {str(path)!r}: {err}") from err
+        raise ModelError(f"cannot read model file {path!r}: {err}") from err
     except UnicodeDecodeError as err:
-        raise ModelError(f"model file {str(path)!r} is not UTF-8: {err}") from err
+        raise ModelError(f"model file {path!r} is not UTF-8: {err}") from err
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
-        raise ModelError(f"model file {str(path)!r} is not valid JSON: {err}") from err
+        raise ModelError(f"model file {path!r} is not valid JSON: {err}") from err
     except RecursionError as err:
-        raise ModelError(f"model file {str(path)!r} nests too deeply to parse") from err
+        raise ModelError(f"model file {path!r} nests too deeply to parse") from err
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     return doc

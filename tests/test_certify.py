@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 import spincert
-from spincert import certificates, certify, genus, mod2
+from spincert import certificates, certify, cli, genus, mod2
 from spincert.certificates import (
     Certificate,
     CertificateError,
     Check,
+    ReadOnly,
     exact_to_json,
     pin_label,
     spin_label,
@@ -50,12 +51,24 @@ def _check(cert, name):
     return check
 
 
+def rebuilt(cert, **changes):
+    """``cert`` with ``changes`` applied, rebuilt through the constructor, which checks it again."""
+    fields = {
+        "claim": cert.claim,
+        "parameters": cert.parameters,
+        "checks": cert.checks,
+        "verdict": cert.verdict,
+        "witnesses": cert.witnesses,
+    }
+    return Certificate(**{**fields, **changes})
+
+
 def with_parameter(cert, name, value):
     """``cert`` with parameter ``name`` set to ``value``, or removed when ``value`` is None."""
     parameters = {key: v for key, v in cert.parameters.items() if key != name}
     if value is not None:
         parameters[name] = value
-    return dataclasses.replace(cert, parameters=parameters)
+    return rebuilt(cert, parameters=parameters)
 
 
 class TestRealizationConditions:
@@ -439,7 +452,7 @@ class TestKleinObstruction:
 
     def test_rejects_an_exclusion_of_another_claim(self):
         # the parameters carry k = 3 (spin^h), but the claim excludes spin^c
-        base = dataclasses.replace(certify.nonspinh8_certificate(0), claim="not-spin^c")
+        base = rebuilt(certify.nonspinh8_certificate(0), claim="not-spin^c")
         with pytest.raises(CertificateError, match="does not exclude a spin\\^k structure"):
             certify.klein_product_pin_obstruction(base)
 
@@ -461,11 +474,11 @@ class TestKleinObstruction:
 
     def test_an_exclusion_with_a_failed_check_is_refused(self):
         # an inconclusive certificate relabelled as an exclusion past the freeze;
-        # dataclasses.replace refuses the relabelling (TestCertificateType)
+        # a rebuild through the constructor refuses the relabelling (TestCertificateType)
         base = certify.realization_conditions(1, 1, 1)
         assert base.verdict == "inconclusive"
         assert not all(c.passed for c in base.checks)
-        base = dataclasses.replace(base, parameters={**base.parameters, "k": 3, "orientable": True})
+        base = rebuilt(base, parameters={**base.parameters, "k": 3, "orientable": True})
         object.__setattr__(base, "claim", "not-spin^h")
         object.__setattr__(base, "verdict", "excluded")
         with pytest.raises(CertificateError, match="failed checks"):
@@ -650,7 +663,7 @@ class TestCertificateType:
     def test_replace_applies_the_checks_rule_again(self):
         base = certify.realization_conditions(1, 1, 1)
         with pytest.raises(CertificateError, match="requires all checks to pass"):
-            dataclasses.replace(base, claim="not-spin^h", verdict="excluded")
+            rebuilt(base, claim="not-spin^h", verdict="excluded")
 
     @pytest.mark.parametrize(
         "write",
@@ -664,7 +677,7 @@ class TestCertificateType:
     )
     def test_fields_cannot_be_assigned(self, write):
         cert = certify.nonspinh8_certificate(0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="is read-only: cannot assign"):
             write(cert)
         assert cert == certify.nonspinh8_certificate(0)
 
@@ -699,15 +712,30 @@ class TestCertificateType:
     def test_nothing_mutable_inside_a_certificate(self, build):
         assert list(_mutable_paths(build(), "certificate")) == []
 
-    def test_every_spincert_dataclass_is_frozen(self):
+    def test_every_spincert_class_is_read_only(self):
+        # every class a spincert module defines, except exceptions and the argparse subclass
         found = {}
         for info in pkgutil.iter_modules(spincert.__path__):
             module = importlib.import_module(f"spincert.{info.name}")
             for value in vars(module).values():
-                if dataclasses.is_dataclass(value) and value.__module__ == module.__name__:
-                    found[value.__qualname__] = value.__dataclass_params__.frozen
+                if (
+                    isinstance(value, type)
+                    and value.__module__ == module.__name__
+                    and not issubclass(value, BaseException)
+                    and value is not cli._Parser
+                ):
+                    found[value.__qualname__] = value
         assert {"Check", "Certificate", "F2Algebra", "F2Ring", "PontryaginPolynomial"} <= set(found)
-        assert [name for name, frozen in found.items() if not frozen] == []
+        for cls in found.values():
+            assert issubclass(cls, ReadOnly), cls
+            assert "__slots__" in vars(cls), cls
+            value = cls.__new__(cls)
+            assert not hasattr(value, "__dict__"), cls
+            for name in [*cls.__slots__, "unknown"]:
+                with pytest.raises(AttributeError, match="is read-only: cannot assign"):
+                    setattr(value, name, 0)
+                with pytest.raises(AttributeError, match="is read-only: cannot delete"):
+                    delattr(value, name)
 
     @pytest.mark.parametrize(
         "call, message",

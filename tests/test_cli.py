@@ -979,3 +979,17 @@ class TestArgvProperties:
     def test_text_and_json_exit_alike(self, argv):
         text_argv = [word for word in argv if word != "--json"]
         assert run(text_argv)[0] == run(text_argv + ["--json"])[0]
+
+
+def test_cli_loads_neither_dataclasses_nor_pathlib():
+    # -S, because a site-packages .pth file may import pathlib and importlib.resources
+    # itself (certifi's does), which would hide the modules spincert imports
+    script = "import sys, spincert.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "spincert.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "pathlib", "importlib.resources"}

@@ -479,6 +479,11 @@ class TestSeries:
         mixed = genus.CharacteristicSeries((Fraction(1), 2))
         assert genus.genus_polynomials(mixed, 1) == [PP({P1: 2})]
 
+    def test_fraction_coefficients_are_kept_as_given(self):
+        given = (Fraction(1), Fraction(1, 3), Fraction(-1, 45))
+        series = genus.CharacteristicSeries(given)
+        assert all(q is g for q, g in zip(series.coefficients, given, strict=True))
+
     @pytest.mark.parametrize(
         "coefficients",
         [(1, 0.5), (True, 1), (1, False), (Fraction(1), 2.0), (1, "1")],

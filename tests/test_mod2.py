@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import operator
 import os
@@ -284,6 +283,11 @@ class TestBuildAlgebra:
             build_algebra([("1", 0), ("z2", 2)], {("1", "z2"): []})
 
 
+# the messages of a write into a read-only container and into a read-only value type
+ITEM = "does not support item assignment"
+READ_ONLY = "is read-only: cannot (assign|delete)"
+
+
 class TestWuManifold:
     def test_w2_nonzero(self):
         wu = wu_manifold()
@@ -313,30 +317,30 @@ class TestWuManifold:
     def test_one_shared_model(self):
         wu = wu_manifold()
         assert wu_manifold() is wu
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="is read-only: cannot assign 'sw'"):
             wu.sw = 0
 
     @pytest.mark.parametrize(
-        "write, error",
+        "write, error, message",
         [
-            (lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())), TypeError),
-            (lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0), TypeError),
-            (lambda wu: operator.setitem(wu.algebra.mul, 1, ()), TypeError),
-            (lambda wu: operator.setitem(wu.algebra._index, "z2", 2), TypeError),
-            (lambda wu: setattr(wu.algebra, "mul", ()), dataclasses.FrozenInstanceError),
-            (lambda wu: setattr(wu.algebra, "names", ()), dataclasses.FrozenInstanceError),
-            (lambda wu: setattr(wu.algebra, "_index", {}), dataclasses.FrozenInstanceError),
-            (lambda wu: delattr(wu.algebra, "degrees"), dataclasses.FrozenInstanceError),
-            (lambda wu: setattr(wu.algebra, "unit", "z2"), dataclasses.FrozenInstanceError),
+            (lambda wu: operator.setitem(wu.int_profile.groups, 4, (1, ())), TypeError, ITEM),
+            (lambda wu: operator.setitem(wu.algebra.mul[1], 1, 0), TypeError, ITEM),
+            (lambda wu: operator.setitem(wu.algebra.mul, 1, ()), TypeError, ITEM),
+            (lambda wu: operator.setitem(wu.algebra._index, "z2", 2), TypeError, ITEM),
+            (lambda wu: setattr(wu.algebra, "mul", ()), AttributeError, READ_ONLY),
+            (lambda wu: setattr(wu.algebra, "names", ()), AttributeError, READ_ONLY),
+            (lambda wu: setattr(wu.algebra, "_index", {}), AttributeError, READ_ONLY),
+            (lambda wu: delattr(wu.algebra, "degrees"), AttributeError, READ_ONLY),
+            (lambda wu: setattr(wu.algebra, "unit", "z2"), AttributeError, READ_ONLY),
         ],
         ids=[
             "groups", "mul-row", "mul", "index-entry",
             "algebra-mul", "algebra-names", "algebra-index", "algebra-degrees", "algebra-unit",
         ],
     )
-    def test_shared_model_is_read_only(self, write, error):
+    def test_shared_model_is_read_only(self, write, error, message):
         wu = wu_manifold()
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             write(wu)
         assert wu_manifold().algebra.mask(["z2"]) == 2
         assert w5_verdict(kunneth(wu, wu)).verdict == "excluded"
